@@ -6,7 +6,7 @@
 //! `X_i = V_i/V̄ − 1` for CBR/MBR and `X_i = V_i − 1` for RBR (the ideal
 //! RBR rating of a version against itself is exactly 1) — paper Eq. 7-10.
 
-use crate::consultant::{consult, Method};
+use crate::consultant::{consult_shared, Method};
 use crate::harness::RunHarness;
 use crate::stats;
 use crate::version_cache::{VersionCache, VersionKey};
@@ -70,7 +70,7 @@ pub fn consistency_rows_traced(
     spec: &MachineSpec,
     tracer: &Tracer,
 ) -> Vec<ConsistencyRow> {
-    let consultation = consult(workload, spec);
+    let consultation = consult_shared(workload, spec);
     let method = consultation.order[0];
     let _span = if tracer.enabled() {
         Some(tracer.span(

@@ -132,6 +132,19 @@ pub const INSPECTOR_THRESHOLD_ELEMS: usize = 1024;
 /// Profile length (invocations).
 pub const PROFILE_INVOCATIONS: usize = 160;
 
+/// The consultation for `workload` on `spec`, memoized process-wide in
+/// the [`VersionCache`](crate::VersionCache): the analysis runs once per
+/// (workload, TS, machine) and every caller shares one `Arc`. The
+/// tuning entry points ([`TuningSetup::new`](crate::TuningSetup::new),
+/// [`run_tuning_job`](crate::run_tuning_job), the Table 1 collector) go
+/// through here; [`consult`] is the un-memoized oracle.
+pub fn consult_shared(
+    workload: &dyn Workload,
+    spec: &peak_sim::MachineSpec,
+) -> std::sync::Arc<Consultation> {
+    crate::version_cache::VersionCache::global().consultation(workload, spec)
+}
+
 /// Run the consultant for a workload on a machine.
 pub fn consult(workload: &dyn Workload, spec: &peak_sim::MachineSpec) -> Consultation {
     let prog = workload.program();

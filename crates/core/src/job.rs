@@ -223,12 +223,6 @@ pub fn run_tuning_job(
         .ok_or_else(|| JobError::UnknownBenchmark(spec.benchmark.clone()))?;
     let machine = machine_spec_by_name(&spec.machine)
         .ok_or_else(|| JobError::UnknownMachine(spec.machine.clone()))?;
-    let method = match spec.method {
-        Some(m) => m,
-        // Consultant picks: its order always starts with the preferred
-        // applicable method (RBR is universally applicable).
-        None => crate::consultant::consult(workload.as_ref(), &machine).order[0],
-    };
     let strategy = match &spec.strategy {
         None => None,
         Some(name) => Some(
@@ -236,12 +230,24 @@ pub fn run_tuning_job(
                 .ok_or_else(|| JobError::UnknownStrategy(name.clone()))?,
         ),
     };
-    let opts = TuneOptions {
-        start: spec.start_bits.map(peak_opt::OptConfig::from_bits),
-        cancel,
-        strategy,
-    };
     let result = catch_unwind(AssertUnwindSafe(|| {
+        // Method resolution is tuning work: it runs inside the unwind
+        // boundary (a consultant panic is a job panic) and after the
+        // first cancellation point (a pre-cancelled job consults nothing).
+        // The consultation is memoized, so the setup's own lookup below
+        // is a hit on the same `Arc`.
+        cancel.check();
+        let method = match spec.method {
+            Some(m) => m,
+            // Consultant picks: its order always starts with the preferred
+            // applicable method (RBR is universally applicable).
+            None => crate::consultant::consult_shared(workload.as_ref(), &machine).order[0],
+        };
+        let opts = TuneOptions {
+            start: spec.start_bits.map(peak_opt::OptConfig::from_bits),
+            cancel: cancel.clone(),
+            strategy,
+        };
         tune_with_options(workload.as_ref(), &machine, method, spec.dataset, tracer, pool, &opts)
     }));
     match result {
@@ -300,12 +306,23 @@ mod tests {
 
     #[test]
     fn pre_fired_token_cancels_without_tuning_work() {
+        use crate::version_cache::VersionCache;
         let pool = Pool::with_threads(1);
         let cancel = CancelToken::new();
         cancel.cancel();
-        let spec = TuningJobSpec::new("SWIM", "SPARC-II");
+        // A pair no other test in this binary consults: the global
+        // consult-run counter is shared with concurrently running tests,
+        // so the exact no-consultation check is on this pair's memo slot
+        // (crates/core/tests/production_memo.rs checks the counter itself
+        // in a serialized binary).
+        let spec = TuningJobSpec::new("WUPWISE", "Pentium-IV");
+        let w = peak_workloads::workload_by_name(&spec.benchmark).unwrap();
         let got = run_tuning_job(&spec, Tracer::disabled(), &pool, cancel);
         assert_eq!(got.unwrap_err(), JobError::Cancelled);
+        assert!(
+            !VersionCache::global().has_consultation(w.as_ref(), peak_sim::MachineKind::PentiumIV),
+            "a pre-cancelled job must not consult"
+        );
     }
 
     #[test]

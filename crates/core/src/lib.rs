@@ -63,7 +63,7 @@ pub use compile::{
     take_incidents, validation_level, ValidationIncident,
 };
 pub use consistency::{consistency_rows, consistency_rows_traced, ConsistencyRow, WINDOW_SIZES};
-pub use consultant::{consult, Consultation, Method};
+pub use consultant::{consult, consult_shared, Consultation, Method};
 pub use degrade::{DegradeEvent, DegradeTrigger, RatingSupervisor, SupervisorConfig};
 pub use harness::RunHarness;
 pub use job::{
@@ -85,8 +85,8 @@ pub use strategy::{
     SplitMix64, StrategyKind,
 };
 pub use tuner::{
-    production_time, tune, tune_traced, tune_traced_pooled, tune_with_options, TuneOptions,
-    TuneReport, Tuner,
+    measure_production, production_time, tune, tune_traced, tune_traced_pooled, tune_with_options,
+    TuneOptions, TuneReport, Tuner,
 };
 pub use tier::{jit_backend, register_jit_metrics};
-pub use version_cache::{CacheStats, VersionCache, VersionKey};
+pub use version_cache::{CacheStats, MemoStats, VersionCache, VersionKey};

@@ -55,9 +55,10 @@ pub struct TuningSetup<'w> {
 }
 
 impl<'w> TuningSetup<'w> {
-    /// Create a tuning setup (runs the consultant).
+    /// Create a tuning setup with the memoized consultant output
+    /// ([`consult_shared`](crate::consultant::consult_shared)).
     pub fn new(workload: &'w dyn Workload, spec: MachineSpec, ds: Dataset) -> Self {
-        let consult = Arc::new(crate::consultant::consult(workload, &spec));
+        let consult = crate::consultant::consult_shared(workload, &spec);
         Self::with_consultation(workload, spec, ds, consult)
     }
 

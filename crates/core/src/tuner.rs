@@ -17,7 +17,7 @@ use crate::strategy::{
     build_strategy, strategy_seed, FrontierRater, IterativeElimination, SearchStrategy,
     StrategyKind,
 };
-use crate::version_cache::VersionCache;
+use crate::version_cache::{VersionCache, VersionKey};
 use peak_obs::{event, Tracer};
 use peak_opt::OptConfig;
 use peak_sim::{ExecOptions, FaultConfig, MachineSpec};
@@ -66,14 +66,50 @@ impl ToJson for TuneReport {
 
 /// Measure a full production run (no instrumentation, no tuning
 /// overheads): total true cycles of one application run.
+///
+/// The run is a pure function of (program, flag configuration, machine,
+/// input), so the result is memoized process-wide in the
+/// [`VersionCache`] (keyed by the version key — tier included — plus
+/// the dataset): the first requester simulates, concurrent requesters
+/// of the same key wait for it, and later ones hit. Bit-identical to the
+/// [`measure_production`] oracle.
 pub fn production_time(
     workload: &dyn Workload,
     spec: &MachineSpec,
     cfg: OptConfig,
     ds: Dataset,
 ) -> u64 {
-    let pv = VersionCache::global().prepare_workload(workload, spec, cfg);
+    VersionCache::global().production_time(workload, spec, cfg, ds)
+}
+
+/// The un-memoized production measurement: simulate one whole
+/// application run every call. The oracle [`production_time`]'s memo is
+/// gated against (DESIGN.md §16 equivalence doctrine).
+pub fn measure_production(
+    workload: &dyn Workload,
+    spec: &MachineSpec,
+    cfg: OptConfig,
+    ds: Dataset,
+) -> u64 {
+    let key = VersionKey::plain(workload, cfg, spec.kind);
+    run_production(VersionCache::global(), key, workload, spec, ds)
+}
+
+/// One production run of `key` (a plain-TS key of `workload`), compiled
+/// through `cache` and executed on `key.tier`.
+pub(crate) fn run_production(
+    cache: &VersionCache,
+    key: VersionKey,
+    workload: &dyn Workload,
+    spec: &MachineSpec,
+    ds: Dataset,
+) -> u64 {
+    let (tier, cfg) = (key.tier, OptConfig::from_bits(key.config_bits));
+    let pv = cache.get_or_prepare(key, spec, || {
+        crate::compile::compile_validated(workload.program(), workload.ts(), &cfg)
+    });
     let mut h = crate::harness::RunHarness::new(workload, ds, spec, 0);
+    h.set_tier(tier);
     let opts = ExecOptions::default();
     while let Some(args) = h.next_args() {
         let _ = h.execute(&pv, &args, &opts);
@@ -497,7 +533,7 @@ fn dataset_name(ds: Dataset) -> &'static str {
 /// The methods evaluated for one benchmark in Figure 7: every applicable
 /// rating method plus the AVG and WHL baselines.
 pub fn figure7_methods(workload: &dyn Workload, spec: &MachineSpec) -> Vec<Method> {
-    let consult = crate::consultant::consult(workload, spec);
+    let consult = crate::consultant::consult_shared(workload, spec);
     let mut ms = consult.order.clone();
     ms.push(Method::Avg);
     ms.push(Method::Whl);
