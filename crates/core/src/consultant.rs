@@ -119,6 +119,25 @@ pub struct Consultation {
     pub order: Vec<Method>,
 }
 
+impl Consultation {
+    /// The §3 method order for a rating that prefers `preferred`: the
+    /// preferred method first — even when the consultant left it out of
+    /// [`Consultation::order`] (a *forced* method, e.g. Figure 7's
+    /// MGRID_CBR cell) — then the rest of the order after it, without
+    /// repeats. A preferred method outside the order continues from the
+    /// front of the order.
+    pub fn fallback_order(&self, preferred: Method) -> Vec<Method> {
+        let start = self.order.iter().position(|&m| m == preferred).map_or(0, |i| i + 1);
+        let mut list = vec![preferred];
+        for &m in &self.order[start..] {
+            if !list.contains(&m) {
+                list.push(m);
+            }
+        }
+        list
+    }
+}
+
 /// Context-count budget for CBR (MGRID's 12-level stream exceeds this —
 /// the Figure-7 MGRID_CBR pathology).
 pub const MAX_CBR_CONTEXTS: usize = 8;
@@ -305,6 +324,11 @@ mod tests {
         assert!(plan.contexts.len() > MAX_CBR_CONTEXTS);
         assert_eq!(c.order[0], Method::Mbr, "{:?}", c.order);
         assert!(!c.order.contains(&Method::Cbr));
+        // Forced CBR starts the fallback from the front of the order; an
+        // in-order method continues after its own position.
+        assert_eq!(c.fallback_order(Method::Cbr), [Method::Cbr, Method::Mbr, Method::Rbr]);
+        assert_eq!(c.fallback_order(Method::Mbr), [Method::Mbr, Method::Rbr]);
+        assert_eq!(c.fallback_order(Method::Rbr), [Method::Rbr]);
     }
 
     #[test]

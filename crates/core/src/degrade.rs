@@ -178,18 +178,11 @@ impl RatingSupervisor {
         self.ratings = ratings;
     }
 
-    /// The method cascade for a given preferred method: the preferred
-    /// method first, then the consultant's remaining order, ending in WHL
-    /// (always applicable, accepts any outcome).
-    fn cascade(&self, setup: &TuningSetup<'_>, preferred: Method) -> Vec<Method> {
-        let order = &setup.consult.order;
-        let mut list = vec![preferred];
-        let start = order.iter().position(|&m| m == preferred).map_or(0, |i| i + 1);
-        for &m in &order[start.min(order.len())..] {
-            if !list.contains(&m) {
-                list.push(m);
-            }
-        }
+    /// The method cascade for a given preferred method: the §3 order
+    /// ([`Consultation::fallback_order`](crate::consultant::Consultation::fallback_order)),
+    /// ending in WHL (always applicable, accepts any outcome).
+    fn cascade(setup: &TuningSetup<'_>, preferred: Method) -> Vec<Method> {
+        let mut list = setup.consult.fallback_order(preferred);
         if !list.contains(&Method::Whl) {
             list.push(Method::Whl);
         }
@@ -247,7 +240,7 @@ impl RatingSupervisor {
         let rating = self.ratings;
         self.ratings += 1;
         let tracer = setup.tracer().clone();
-        let cascade = self.cascade(setup, preferred);
+        let cascade = Self::cascade(setup, preferred);
         let ncand = candidates.len().max(1) as f64;
         let mut last: Option<RateOutcome> = None;
         for (pos, &m) in cascade.iter().enumerate() {

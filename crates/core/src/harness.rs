@@ -99,21 +99,14 @@ impl<'w> RunHarness<'w> {
         noise_seed: u64,
         faults: Option<FaultPlan>,
     ) -> Self {
-        Self::with_stream_mode(
-            workload,
-            ds,
-            spec,
-            noise_seed,
-            faults,
-            crate::stream_cache::enabled(),
-        )
+        Self::with_stream_mode(workload, ds, spec, noise_seed, faults, true)
     }
 
     /// [`RunHarness::with_faults`] with the argument-stream mode forced:
     /// `memoized = true` replays the pooled recorded stream, `false`
-    /// runs the live generator per invocation. The public constructors
-    /// follow `PEAK_ARG_STREAM`; this exists for the differential suite
-    /// that proves the two modes observably identical.
+    /// runs the live generator per invocation. The other constructors
+    /// always memoize; this exists for the differential suite that proves
+    /// the two modes observably identical.
     pub fn with_stream_mode(
         workload: &'w dyn Workload,
         ds: Dataset,

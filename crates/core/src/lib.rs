@@ -74,12 +74,12 @@ pub use mbr::MbrModel;
 pub use rating::{rate, rate_with, RateOptions, RateOutcome, TuningSetup};
 pub use sched::{default_threads, Pool, PoolStats};
 pub use search::{
-    exhaustive, iterative_elimination, iterative_elimination_from, iterative_elimination_parallel,
+    exhaustive, iterative_elimination, iterative_elimination_from,
     iterative_elimination_parallel_capped, random_search, SearchResult,
 };
 pub use strategy::{
     build_strategy, cluster_flags, ga_mutate, ga_next_generation, ga_uniform_crossover, pearson,
-    search_with_strategy, search_with_strategy_spent, strategy_kind_by_name, strategy_seed,
+    search_with_strategy_spent, strategy_kind_by_name, strategy_seed,
     ClusterConfig, CompilationBudget, FrontierOutcome, FrontierRater, GaConfig, GeneticSearch,
     IterativeElimination, PhaseClusteredIe, RandomSearchStrategy, RatingProtocol, SearchStrategy,
     SplitMix64, StrategyKind,

@@ -13,7 +13,7 @@ use crate::sched::Pool;
 use crate::stats::Window;
 use crate::version_cache::{VersionCache, VersionKey};
 use peak_obs::{event, Tracer};
-use peak_opt::OptConfig;
+use peak_opt::{CompiledVersion, OptConfig};
 use peak_sim::{
     ExecError, ExecOptions, FaultConfig, FaultPlan, MachineSpec, PreparedVersion, SimMetrics,
 };
@@ -28,10 +28,9 @@ use std::sync::Arc;
 /// scenario) are cheap to share across rating jobs, while the *scratch*
 /// (run-seed cursor, cycle/run/invocation accounting, tracer) is
 /// per-job. [`TuningSetup::fork_for_job`] clones the shared part into a
-/// fresh scratch with a caller-chosen seed base, and
-/// [`TuningSetup::absorb_scratch`] folds a finished job's accounting
-/// back in — always in job-index order, so totals are bit-identical at
-/// any thread count.
+/// fresh scratch with a caller-chosen seed base; the per-candidate
+/// rating protocol folds each finished job's accounting back in job-index
+/// order, so totals are bit-identical at any thread count.
 pub struct TuningSetup<'w> {
     /// Workload under tuning.
     pub workload: &'w dyn Workload,
@@ -58,23 +57,10 @@ impl<'w> TuningSetup<'w> {
     /// Create a tuning setup with the memoized consultant output
     /// ([`consult_shared`](crate::consultant::consult_shared)).
     pub fn new(workload: &'w dyn Workload, spec: MachineSpec, ds: Dataset) -> Self {
-        let consult = crate::consultant::consult_shared(workload, &spec);
-        Self::with_consultation(workload, spec, ds, consult)
-    }
-
-    /// Create a tuning setup reusing an existing consultant output
-    /// (parallel rating jobs share one [`Consultation`] instead of
-    /// re-running the §3 analysis per job).
-    pub fn with_consultation(
-        workload: &'w dyn Workload,
-        spec: MachineSpec,
-        ds: Dataset,
-        consult: Arc<Consultation>,
-    ) -> Self {
         TuningSetup {
             workload,
+            consult: crate::consultant::consult_shared(workload, &spec),
             spec,
-            consult,
             ds,
             next_seed: 1,
             fault_config: None,
@@ -133,16 +119,6 @@ impl<'w> TuningSetup<'w> {
         }
     }
 
-    /// Fold a finished job's accounting back into this setup. Call in
-    /// job-index order so totals are reproducible at any thread count
-    /// (addition over `u64`/`usize` is associative, but keeping one
-    /// canonical order keeps the discipline visible and future-proof).
-    pub fn absorb_scratch(&mut self, scratch: &TuningSetup<'_>) {
-        self.tuning_cycles += scratch.tuning_cycles;
-        self.runs_used += scratch.runs_used;
-        self.invocations_used += scratch.invocations_used;
-    }
-
     /// Pre-compile every configuration in `cfgs` (the next rating call's
     /// candidate frontier) through the process-wide [`VersionCache`] on
     /// the installed pool. Concurrent warm-ups of the same key compile
@@ -155,29 +131,8 @@ impl<'w> TuningSetup<'w> {
         if instrumented && self.consult.mbr.is_none() {
             return;
         }
-        let requests: Vec<_> = cfgs
-            .iter()
-            .map(|&cfg| {
-                let key = if instrumented {
-                    VersionKey::instrumented(self.workload, cfg, self.spec.kind)
-                } else {
-                    VersionKey::plain(self.workload, cfg, self.spec.kind)
-                };
-                let workload = self.workload;
-                let consult = self.consult.clone();
-                let compile = move || {
-                    let (prog, ts) = if instrumented {
-                        let m =
-                            consult.mbr.as_ref().expect("instrumented version needs MBR model");
-                        (&m.instrumented, m.ts)
-                    } else {
-                        (workload.program(), workload.ts())
-                    };
-                    crate::compile::compile_validated(prog, ts, &cfg)
-                };
-                (key, compile)
-            })
-            .collect();
+        let requests: Vec<_> =
+            cfgs.iter().map(|&cfg| self.version_request(cfg, instrumented)).collect();
         VersionCache::global().warm(&self.pool, &self.spec, requests);
     }
 
@@ -252,20 +207,34 @@ impl<'w> TuningSetup<'w> {
     /// [`VersionCache`] are shared across setups, search rounds, rating
     /// retries, the degradation cascade, and checkpoint resume.
     pub fn version(&mut self, cfg: OptConfig, instrumented: bool) -> Arc<PreparedVersion> {
+        let (key, compile) = self.version_request(cfg, instrumented);
+        VersionCache::global().get_or_prepare(key, &self.spec, compile)
+    }
+
+    /// The [`VersionCache`] key and compile thunk for `cfg`, compiled from
+    /// the workload's TS or (`instrumented`) the MBR-instrumented TS.
+    fn version_request(
+        &self,
+        cfg: OptConfig,
+        instrumented: bool,
+    ) -> (VersionKey, impl FnOnce() -> CompiledVersion + Send + 'w) {
         let key = if instrumented {
             VersionKey::instrumented(self.workload, cfg, self.spec.kind)
         } else {
             VersionKey::plain(self.workload, cfg, self.spec.kind)
         };
-        VersionCache::global().get_or_prepare(key, &self.spec, || {
+        let workload = self.workload;
+        let consult = self.consult.clone();
+        let compile = move || {
             let (prog, ts) = if instrumented {
-                let m = self.consult.mbr.as_ref().expect("instrumented version needs MBR model");
+                let m = consult.mbr.as_ref().expect("instrumented version needs MBR model");
                 (&m.instrumented, m.ts)
             } else {
-                (self.workload.program(), self.workload.ts())
+                (workload.program(), workload.ts())
             };
             crate::compile::compile_validated(prog, ts, &cfg)
-        })
+        };
+        (key, compile)
     }
 
     /// Start a fresh application run (a new process). This is the

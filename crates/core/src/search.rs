@@ -78,9 +78,66 @@ pub(crate) const MAX_IE_ROUNDS: usize = 10;
 /// switches rating methods.
 pub(crate) const SWITCH_FRACTION: f64 = 0.34;
 
-/// Rate with automatic method switching down the consultant's order
-/// (paper §3: "If the system cannot achieve enough accuracy … it switches
-/// to the next applicable rating method").
+/// Index of the largest of the first `rated` improvements — the one
+/// argmax every search decision uses. Semantics are exactly
+/// `Iterator::max_by` over `f64::total_cmp`: among equal maxima the
+/// **last** index wins. `None` when nothing was rated. Callers apply
+/// their own [`MIN_GAIN`] test to the picked improvement.
+pub(crate) fn pick_best(improvements: &[f64], rated: usize) -> Option<usize> {
+    (0..rated).max_by(|&a, &b| improvements[a].total_cmp(&improvements[b]))
+}
+
+/// The §3 method-fallback driver (paper: "If the system cannot achieve
+/// enough accuracy … it switches to the next applicable rating method")
+/// shared by every rating protocol. `rate_attempt(setup, method,
+/// attempt)` rates the frontier of `ncand` candidates once with
+/// `method`; `attempt` is the method's position in the try-list, which
+/// the per-candidate protocol folds into its seeds.
+///
+/// The try-list is [`Consultation::fallback_order`](crate::consultant::Consultation::fallback_order).
+/// A method that rates with more than [`SWITCH_FRACTION`] of its
+/// candidates unconverged counts one switch and hands over to the next;
+/// a forced method that cannot converge falls through exactly like an
+/// in-order one, and its wasted cycles stay on the bill (which is what
+/// Figure 7 shows). When every method struggled, the last outcome is
+/// kept under the order's last (most applicable) method; when none
+/// rated at all, that method rates once more as attempt
+/// `try_list.len()`. The WHL/AVG baselines sit outside the consultant's
+/// order: they rate once, as attempt 0, with no switch counted.
+pub(crate) fn rate_cascade<'w>(
+    setup: &mut TuningSetup<'w>,
+    preferred: Method,
+    ncand: usize,
+    switches: &mut u32,
+    mut rate_attempt: impl FnMut(&mut TuningSetup<'w>, Method, usize) -> Option<RateOutcome>,
+) -> (RateOutcome, Method) {
+    if matches!(preferred, Method::Whl | Method::Avg) {
+        let out = rate_attempt(setup, preferred, 0).expect("baseline method rates");
+        return (out, preferred);
+    }
+    let try_list = setup.consult.fallback_order(preferred);
+    let mut last: Option<RateOutcome> = None;
+    for (attempt, &m) in try_list.iter().enumerate() {
+        if let Some(out) = rate_attempt(setup, m, attempt) {
+            if out.unconverged as f64 / (ncand.max(1) as f64) <= SWITCH_FRACTION {
+                return (out, m);
+            }
+            last = Some(out);
+            *switches += 1;
+        }
+    }
+    let m = *setup.consult.order.last().expect("RBR always applicable");
+    match last {
+        Some(out) => (out, m),
+        None => (rate_attempt(setup, m, try_list.len()).expect("RBR always rates"), m),
+    }
+}
+
+/// Rate `candidates` with the serial interleaved protocol under the §3
+/// method fallback: down
+/// [`Consultation::fallback_order`](crate::consultant::Consultation::fallback_order),
+/// switching when more than a third of the candidates stay unconverged.
+/// The WHL/AVG baselines rate once, without fallback.
 pub fn rate_with_fallback(
     setup: &mut TuningSetup<'_>,
     preferred: Method,
@@ -88,39 +145,9 @@ pub fn rate_with_fallback(
     candidates: &[OptConfig],
     switches: &mut u32,
 ) -> (RateOutcome, Method) {
-    // Try the preferred method first even when the consultant left it out
-    // of the order (a *forced* method, e.g. Figure 7's MGRID_CBR cell),
-    // then continue down the order from that point. A forced method that
-    // cannot converge falls through exactly like an in-order one — and its
-    // wasted cycles stay on the bill, which is what the figure shows.
-    let order = setup.consult.order.clone();
-    let mut try_list = vec![preferred];
-    let start = order.iter().position(|&m| m == preferred).map_or(0, |i| i + 1);
-    for &m in &order[start.min(order.len())..] {
-        if !try_list.contains(&m) {
-            try_list.push(m);
-        }
-    }
-    let mut last: Option<RateOutcome> = None;
-    for &m in &try_list {
-        if let Some(out) = rate(setup, m, base, candidates) {
-            let frac_bad = out.unconverged as f64 / (candidates.len().max(1) as f64);
-            if frac_bad <= SWITCH_FRACTION {
-                return (out, m);
-            }
-            last = Some(out);
-            *switches += 1;
-        }
-    }
-    // Everything struggled: use the last (most applicable) method anyway.
-    let m = *order.last().expect("RBR always applicable");
-    match last {
-        Some(out) => (out, m),
-        None => {
-            let out = rate(setup, m, base, candidates).expect("RBR always rates");
-            (out, m)
-        }
-    }
+    rate_cascade(setup, preferred, candidates.len(), switches, |s, m, _| {
+        rate(s, m, base, candidates)
+    })
 }
 
 /// Iterative Elimination with the given (initial) rating method,
@@ -249,58 +276,16 @@ pub(crate) fn rate_frontier_parallel(
     Some(merged)
 }
 
-/// Frontier-level method fallback: the §3 switch decision is made
-/// *jointly* over the merged frontier outcome (same unconverged-fraction
-/// rule as [`rate_with_fallback`]), after all candidate jobs of the
-/// attempt have completed.
-pub(crate) fn rate_frontier_with_fallback(
-    setup: &mut TuningSetup<'_>,
-    pool: &Pool,
-    preferred: Method,
-    base: OptConfig,
-    candidates: &[OptConfig],
-    switches: &mut u32,
-    round: usize,
-) -> (RateOutcome, Method) {
-    let order = setup.consult.order.clone();
-    let mut try_list = vec![preferred];
-    let start = order.iter().position(|&m| m == preferred).map_or(0, |i| i + 1);
-    for &m in &order[start.min(order.len())..] {
-        if !try_list.contains(&m) {
-            try_list.push(m);
-        }
-    }
-    let mut last: Option<RateOutcome> = None;
-    for (attempt, &m) in try_list.iter().enumerate() {
-        let seed = frontier_seed_base(round, attempt);
-        if let Some(out) = rate_frontier_parallel(setup, pool, m, base, candidates, seed) {
-            let frac_bad = out.unconverged as f64 / (candidates.len().max(1) as f64);
-            if frac_bad <= SWITCH_FRACTION {
-                return (out, m);
-            }
-            last = Some(out);
-            *switches += 1;
-        }
-    }
-    let m = *order.last().expect("RBR always applicable");
-    match last {
-        Some(out) => (out, m),
-        None => {
-            let seed = frontier_seed_base(round, try_list.len());
-            let out = rate_frontier_parallel(setup, pool, m, base, candidates, seed)
-                .expect("RBR always rates");
-            (out, m)
-        }
-    }
-}
-
-/// Iterative Elimination with a parallel candidate frontier: each round
-/// pre-compiles the whole frontier through the shared [`VersionCache`]
-/// (in-flight de-duplicated) and rates every candidate concurrently on
-/// `pool`, each candidate in its own deterministically-seeded scratch
-/// [`TuningSetup`]. Results are merged in candidate order, so the
-/// returned [`SearchResult`] — flags, ratings count, tuning cycles, run
-/// and invocation accounting — is **bit-identical at any thread count**
+/// Iterative Elimination with a parallel candidate frontier and an
+/// explicit round cap (benches use small caps to bound latency
+/// measurements; [`MAX_IE_ROUNDS`] is the paper protocol's cap). Each
+/// round pre-compiles the whole frontier through the shared
+/// [`VersionCache`](crate::version_cache::VersionCache) (in-flight
+/// de-duplicated) and rates every candidate concurrently on `pool`, each
+/// candidate in its own deterministically-seeded scratch [`TuningSetup`].
+/// Results are merged in candidate order, so the returned
+/// [`SearchResult`] — flags, ratings count, tuning cycles, run and
+/// invocation accounting — is **bit-identical at any thread count**
 /// (`Pool::with_threads(1)` is the serial reference).
 ///
 /// Note this is a restructured search, not a drop-in replacement for
@@ -309,23 +294,9 @@ pub(crate) fn rate_frontier_with_fallback(
 /// differ from the serial interleaved protocol's. The Figure 7 / Table 1
 /// pipelines keep the serial protocol; this entry point is for
 /// throughput-bound consumers (`BENCH_search`, future sharded drivers).
-pub fn iterative_elimination_parallel(
-    setup: &mut TuningSetup<'_>,
-    method: Method,
-    pool: &Pool,
-) -> SearchResult {
-    iterative_elimination_parallel_capped(setup, method, pool, MAX_IE_ROUNDS)
-}
-
-/// [`iterative_elimination_parallel`] with an explicit round cap
-/// (`max_rounds ≤` [`MAX_IE_ROUNDS`] is not enforced — benches use small
-/// caps to bound latency measurements).
-///
-/// Since the strategy extraction this is the same [`IterativeElimination`]
-/// loop on a [`FrontierRater::pooled`] rater (per-candidate protocol).
-/// One behavioral addition over the pre-trait code: round boundaries are
-/// now cooperative cancellation points here too, matching the serial
-/// entry point — output-invisible unless the job is cancelled.
+/// It is the [`IterativeElimination`] loop on a
+/// [`FrontierRater::pooled`] rater; round boundaries are cooperative
+/// cancellation points.
 pub fn iterative_elimination_parallel_capped(
     setup: &mut TuningSetup<'_>,
     method: Method,
@@ -337,8 +308,9 @@ pub fn iterative_elimination_parallel_capped(
     strategy.run(&mut rater)
 }
 
-/// Exhaustive search over a small flag subset (all other flags stay on).
-/// 2^k ratings — only for ablation studies on ≤ 12 flags.
+/// Exhaustive search over a small flag subset (all other flags stay on):
+/// one [`FrontierRater::serial`] frontier of all 2^k − 1 removal
+/// combinations. Only for ablation studies on ≤ 12 flags.
 pub fn exhaustive(setup: &mut TuningSetup<'_>, method: Method, flags: &[Flag]) -> SearchResult {
     assert!(flags.len() <= 12, "exhaustive search is 2^k");
     let base = OptConfig::o3();
@@ -352,24 +324,15 @@ pub fn exhaustive(setup: &mut TuningSetup<'_>, method: Method, flags: &[Flag]) -
         }
         candidates.push(cfg);
     }
-    let mut switches = 0;
-    let (out, used) = rate_with_fallback(setup, method, base, &candidates, &mut switches);
-    let besti = (0..candidates.len())
-        .max_by(|&a, &b| out.improvements[a].total_cmp(&out.improvements[b]));
-    let best = match besti {
-        Some(i) if out.improvements[i] >= MIN_GAIN => candidates[i],
+    let mut rater = FrontierRater::serial(setup, method);
+    let Some(fo) = rater.rate(base, &candidates) else {
+        return rater.finish(base);
+    };
+    let best = match pick_best(&fo.out.improvements, fo.rated) {
+        Some(i) if fo.out.improvements[i] >= MIN_GAIN => candidates[i],
         _ => base,
     };
-    SearchResult {
-        best,
-        disabled_flags: best.disabled_flags().iter().map(|f| f.name().to_string()).collect(),
-        method: used,
-        switches,
-        ratings: candidates.len(),
-        tuning_cycles: setup.tuning_cycles,
-        runs: setup.runs_used,
-        invocations: setup.invocations_used,
-    }
+    rater.finish(best)
 }
 
 /// Biased random search (Cooper-style): sample configurations with each
@@ -401,6 +364,16 @@ mod tests {
     use super::*;
     use peak_sim::MachineSpec;
     use peak_workloads::{art::ArtMatch, Dataset};
+
+    #[test]
+    fn pick_best_takes_the_last_of_equal_maxima() {
+        let impr = [1.0, 1.5, 0.9, 1.5, 1.2];
+        assert_eq!(pick_best(&impr, impr.len()), Some(3), "ties go to the last index");
+        assert_eq!(pick_best(&impr, 3), Some(1), "only the rated prefix counts");
+        assert_eq!(pick_best(&impr, 0), None);
+        // `total_cmp` orders -0.0 below +0.0, so they are not a tie.
+        assert_eq!(pick_best(&[0.0, -0.0], 2), Some(0));
+    }
 
     #[test]
     fn ie_on_art_p4_disables_strict_aliasing() {

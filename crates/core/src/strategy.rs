@@ -20,7 +20,10 @@
 //! guarantee it for their own decisions by drawing all randomness from
 //! [`SplitMix64`] seeded off the job seed — never from thread timing,
 //! never from `std` hash iteration order. Float comparisons use
-//! `total_cmp` with ties broken toward the lowest index.
+//! `total_cmp`. The argmax behind every search decision
+//! (`search::pick_best`) returns the **last** of equal maxima
+//! (`Iterator::max_by` semantics); GA tournament/elitism ranking and the
+//! clustering's impact order break ties toward the lowest index.
 //!
 //! # Budget semantics
 //!
@@ -35,10 +38,10 @@
 //! files.
 
 use crate::consultant::Method;
-use crate::rating::{rate, RateOutcome, TuningSetup};
+use crate::rating::{RateOutcome, TuningSetup};
 use crate::sched::Pool;
 use crate::search::{
-    count_ie_round, frontier_seed_base, rate_frontier_parallel, rate_frontier_with_fallback,
+    count_ie_round, frontier_seed_base, pick_best, rate_cascade, rate_frontier_parallel,
     rate_with_fallback, SearchResult, MAX_IE_ROUNDS, MIN_GAIN,
 };
 use peak_obs::event;
@@ -280,36 +283,22 @@ impl<'a, 'w> FrontierRater<'a, 'w> {
         self.setup.warm_frontier(&warm, matches!(self.method, Method::Mbr));
         let (out, used) = match self.protocol {
             RatingProtocol::Serial => {
-                if matches!(self.method, Method::Whl | Method::Avg) {
-                    // Baselines rate directly without the consultant fallback.
-                    (
-                        rate(self.setup, self.method, base, candidates)
-                            .expect("baseline method rates"),
-                        self.method,
-                    )
-                } else {
-                    rate_with_fallback(self.setup, self.method, base, candidates, &mut self.switches)
-                }
+                rate_with_fallback(self.setup, self.method, base, candidates, &mut self.switches)
             }
             RatingProtocol::PerCandidate => {
-                if matches!(self.method, Method::Whl | Method::Avg) {
-                    let seed = frontier_seed_base(round, 0);
-                    (
-                        rate_frontier_parallel(self.setup, &self.pool, self.method, base, candidates, seed)
-                            .expect("baseline method rates"),
-                        self.method,
-                    )
-                } else {
-                    rate_frontier_with_fallback(
-                        self.setup,
-                        &self.pool,
-                        self.method,
-                        base,
-                        candidates,
-                        &mut self.switches,
-                        round,
-                    )
-                }
+                // The switch decision is made jointly over the merged
+                // frontier, after every candidate job of the attempt.
+                let pool = &self.pool;
+                rate_cascade(
+                    self.setup,
+                    self.method,
+                    candidates.len(),
+                    &mut self.switches,
+                    |s, m, attempt| {
+                        let seed = frontier_seed_base(round, attempt);
+                        rate_frontier_parallel(s, pool, m, base, candidates, seed)
+                    },
+                )
             }
         };
         self.last_method = used;
@@ -407,51 +396,61 @@ impl SearchStrategy for IterativeElimination {
     fn run(&self, rater: &mut FrontierRater<'_, '_>) -> SearchResult {
         let mut base = self.start;
         for round in 0..self.max_rounds {
-            rater.check_cancel();
-            count_ie_round();
-            let flags: Vec<Flag> = base.enabled_flags();
-            if flags.is_empty() {
-                break;
-            }
-            let candidates: Vec<OptConfig> = flags.iter().map(|&f| base.without(f)).collect();
-            let Some(fo) = rater.rate(base, &candidates) else {
+            let flags = base.enabled_flags();
+            let IeRound::Rated { candidates, fo, best } = ie_round(rater, base, &flags) else {
                 break;
             };
-            let out = &fo.out;
             // Remove the flag whose removal helps most.
-            let bestidx = (0..fo.rated)
-                .max_by(|&a, &b| out.improvements[a].total_cmp(&out.improvements[b]));
-            let removed = match bestidx {
-                Some(i) if out.improvements[i] >= MIN_GAIN => Some(flags[i].name()),
-                _ => None,
-            };
-            {
-                let switches = rater.switches();
-                let tracer = rater.tracer();
-                if tracer.enabled() {
-                    event!(
-                        tracer,
-                        "search.round",
-                        round = round as u64,
-                        method = fo.method.name(),
-                        best_improvement = bestidx.map(|i| out.improvements[i]).unwrap_or(1.0),
-                        removed_flag = removed,
-                        switches = switches as u64,
-                    );
-                }
+            let improvements = &fo.out.improvements;
+            let removed = best.filter(|&i| improvements[i] >= MIN_GAIN);
+            let tracer = rater.tracer();
+            if tracer.enabled() {
+                event!(
+                    tracer,
+                    "search.round",
+                    round = round as u64,
+                    method = fo.method.name(),
+                    best_improvement = best.map_or(1.0, |i| improvements[i]),
+                    removed_flag = removed.map(|i| flags[i].name()),
+                    switches = rater.switches() as u64,
+                );
             }
-            match bestidx {
-                Some(i) if removed.is_some() => {
-                    base = candidates[i];
-                }
-                _ => break,
-            }
+            let Some(i) = removed else { break };
+            base = candidates[i];
             if fo.truncated {
                 break;
             }
         }
         rater.finish(base)
     }
+}
+
+/// What one [`ie_round`] produced.
+enum IeRound {
+    /// No flag of the subset is still enabled in the base.
+    Empty,
+    /// The budget could not afford the frontier.
+    Unaffordable,
+    /// The frontier was rated; `best` is [`pick_best`] over it.
+    Rated { candidates: Vec<OptConfig>, fo: FrontierOutcome, best: Option<usize> },
+}
+
+/// One Iterative Elimination round over `flags` (a subset of the flags
+/// enabled in `base`): cancellation point, round counter, then rate every
+/// single-flag removal against `base` and pick the best. The caller
+/// decides whether the pick clears [`MIN_GAIN`].
+fn ie_round(rater: &mut FrontierRater<'_, '_>, base: OptConfig, flags: &[Flag]) -> IeRound {
+    rater.check_cancel();
+    count_ie_round();
+    if flags.is_empty() {
+        return IeRound::Empty;
+    }
+    let candidates: Vec<OptConfig> = flags.iter().map(|&f| base.without(f)).collect();
+    let Some(fo) = rater.rate(base, &candidates) else {
+        return IeRound::Unaffordable;
+    };
+    let best = pick_best(&fo.out.improvements, fo.rated);
+    IeRound::Rated { candidates, fo, best }
 }
 
 /// Finalists re-rated in a strategy's closing verification round (GA
@@ -471,6 +470,31 @@ fn track_contender(contenders: &mut Vec<(f64, OptConfig)>, impr: f64, cfg: OptCo
         }
         None => contenders.push((impr, cfg)),
     }
+}
+
+/// Closing verification round shared by GA and clustered IE: keep the
+/// [`GA_FINALISTS`] strongest contenders (stable sort, so ties stay in
+/// first-rated order) and re-rate them against `base` in one frontier —
+/// cross-round ratings are not directly comparable (each round draws its
+/// own eval windows), so the winner is picked where the comparison is
+/// fair. Every finalist was already charged, so the round is
+/// budget-free. Returns the pick if it clears [`MIN_GAIN`], else `base`;
+/// `None` when the rater refused the round (each strategy keeps its own
+/// fallback for that).
+fn verify_finalists(
+    rater: &mut FrontierRater<'_, '_>,
+    base: OptConfig,
+    contenders: &mut Vec<(f64, OptConfig)>,
+) -> Option<OptConfig> {
+    contenders.sort_by(|a, b| b.0.total_cmp(&a.0));
+    contenders.truncate(GA_FINALISTS);
+    rater.check_cancel();
+    let finalists: Vec<OptConfig> = contenders.iter().map(|&(_, c)| c).collect();
+    let fo = rater.rate(base, &finalists)?;
+    Some(match pick_best(&fo.out.improvements, fo.rated) {
+        Some(i) if fo.out.improvements[i] >= MIN_GAIN => finalists[i],
+        _ => base,
+    })
 }
 
 /// Genetic-search knobs. All probabilities are integer per-mille so the
@@ -648,36 +672,13 @@ impl SearchStrategy for GeneticSearch {
             let fitness = &fo.out.improvements[..pop.len()];
             pop = ga_next_generation(&mut rng, &pop, fitness, cfg);
         }
-        // Final verification round: re-rate the top contenders in one
-        // frontier. Every finalist was already charged, so this is
-        // budget-free; stable sort keeps ties in first-rated order.
-        contenders.sort_by(|a, b| b.0.total_cmp(&a.0));
-        contenders.truncate(GA_FINALISTS);
+        // Final verification round (the best-so-far answers when there
+        // is nothing to compare or the rater refuses the round).
+        let fallback = if best.0 >= MIN_GAIN { best.1 } else { base };
         let winner = if contenders.len() > 1 {
-            rater.check_cancel();
-            let finalists: Vec<OptConfig> = contenders.iter().map(|&(_, c)| c).collect();
-            match rater.rate(base, &finalists) {
-                Some(fo) => {
-                    let besti = (0..fo.rated).max_by(|&a, &b| {
-                        fo.out.improvements[a].total_cmp(&fo.out.improvements[b])
-                    });
-                    match besti {
-                        Some(i) if fo.out.improvements[i] >= MIN_GAIN => finalists[i],
-                        _ => base,
-                    }
-                }
-                None => {
-                    if best.0 >= MIN_GAIN {
-                        best.1
-                    } else {
-                        base
-                    }
-                }
-            }
-        } else if best.0 >= MIN_GAIN {
-            best.1
+            verify_finalists(rater, base, &mut contenders).unwrap_or(fallback)
         } else {
-            base
+            fallback
         };
         rater.finish(winner)
     }
@@ -809,6 +810,42 @@ impl PhaseClusteredIe {
     }
 }
 
+/// Clustered IE's elimination phase over `subset` (flags of the start
+/// configuration): up to `rounds` [`ie_round`]s against the evolving
+/// `base`. Each accepted removal multiplies its gain into `chain` and
+/// joins the contenders. Stops early when no removal clears
+/// [`MIN_GAIN`] or no flag of the subset is left; returns `true` when
+/// the budget ran out (a round was unaffordable or truncated).
+fn eliminate_within(
+    rater: &mut FrontierRater<'_, '_>,
+    subset: &[Flag],
+    rounds: usize,
+    base: &mut OptConfig,
+    chain: &mut f64,
+    contenders: &mut Vec<(f64, OptConfig)>,
+) -> bool {
+    for _ in 0..rounds {
+        let live: Vec<Flag> = subset.iter().copied().filter(|&f| base.enabled(f)).collect();
+        let (candidates, fo, best) = match ie_round(rater, *base, &live) {
+            IeRound::Empty => return false,
+            IeRound::Unaffordable => return true,
+            IeRound::Rated { candidates, fo, best } => (candidates, fo, best),
+        };
+        match best {
+            Some(i) if fo.out.improvements[i] >= MIN_GAIN => {
+                *chain *= fo.out.improvements[i];
+                *base = candidates[i];
+                track_contender(contenders, *chain, *base);
+            }
+            _ => return fo.truncated,
+        }
+        if fo.truncated {
+            return true;
+        }
+    }
+    false
+}
+
 impl SearchStrategy for PhaseClusteredIe {
     fn name(&self) -> &'static str {
         "clustered"
@@ -820,10 +857,9 @@ impl SearchStrategy for PhaseClusteredIe {
         let base0 = OptConfig::o3();
         let all: Vec<Flag> = base0.enabled_flags();
         // Probe 0: the O3 single-removal frontier (== IE round 1).
-        rater.check_cancel();
-        count_ie_round();
-        let cands0: Vec<OptConfig> = all.iter().map(|&f| base0.without(f)).collect();
-        let Some(p0) = rater.rate(base0, &cands0) else {
+        let IeRound::Rated { candidates: cands0, fo: p0, best: best0 } =
+            ie_round(rater, base0, &all)
+        else {
             return rater.finish(base0);
         };
         let d0: Vec<f64> = (0..all.len())
@@ -887,112 +923,41 @@ impl SearchStrategy for PhaseClusteredIe {
             let threshold = cfg.corr_threshold_per_mille as f64 / 1000.0;
             let clusters = cluster_flags(&deltas, &impact, cfg.max_cluster, threshold);
             // In-cluster IE against the evolving global base.
-            'clusters: for cluster in &clusters {
+            for cluster in &clusters {
                 if exhausted {
                     break;
                 }
                 let members: Vec<Flag> = cluster.iter().map(|&i| all[i]).collect();
-                for _round in 0..members.len() {
-                    rater.check_cancel();
-                    count_ie_round();
-                    let live: Vec<Flag> =
-                        members.iter().copied().filter(|&f| base.enabled(f)).collect();
-                    if live.is_empty() {
-                        break;
-                    }
-                    let cands: Vec<OptConfig> = live.iter().map(|&f| base.without(f)).collect();
-                    let Some(fo) = rater.rate(base, &cands) else {
-                        break 'clusters;
-                    };
-                    let besti = (0..fo.rated)
-                        .max_by(|&a, &b| fo.out.improvements[a].total_cmp(&fo.out.improvements[b]));
-                    match besti {
-                        Some(i) if fo.out.improvements[i] >= MIN_GAIN => {
-                            chain *= fo.out.improvements[i];
-                            base = cands[i];
-                            track_contender(&mut contenders, chain, base);
-                        }
-                        _ => {
-                            if fo.truncated {
-                                break 'clusters;
-                            }
-                            break;
-                        }
-                    }
-                    if fo.truncated {
-                        break 'clusters;
-                    }
-                }
+                let rounds = members.len();
+                exhausted =
+                    eliminate_within(rater, &members, rounds, &mut base, &mut chain, &mut contenders);
             }
         } else {
             // Degenerate tight-budget path: probe 0 is consumed as IE's
             // round 1, and plain full-frontier IE rounds spend whatever
             // headroom remains.
-            let besti = (0..p0.rated)
-                .max_by(|&a, &b| p0.out.improvements[a].total_cmp(&p0.out.improvements[b]));
-            if let Some(i) = besti {
-                if p0.out.improvements[i] >= MIN_GAIN {
-                    chain = p0.out.improvements[i];
-                    base = cands0[i];
-                }
+            if let Some(i) = best0.filter(|&i| p0.out.improvements[i] >= MIN_GAIN) {
+                chain = p0.out.improvements[i];
+                base = cands0[i];
             }
             if base.bits() != base0.bits() && !exhausted {
-                for _round in 1..MAX_IE_ROUNDS {
-                    rater.check_cancel();
-                    count_ie_round();
-                    let flags: Vec<Flag> = base.enabled_flags();
-                    if flags.is_empty() {
-                        break;
-                    }
-                    let cands: Vec<OptConfig> = flags.iter().map(|&f| base.without(f)).collect();
-                    let Some(fo) = rater.rate(base, &cands) else {
-                        break;
-                    };
-                    let besti = (0..fo.rated)
-                        .max_by(|&a, &b| fo.out.improvements[a].total_cmp(&fo.out.improvements[b]));
-                    match besti {
-                        Some(i) if fo.out.improvements[i] >= MIN_GAIN => {
-                            chain *= fo.out.improvements[i];
-                            base = cands[i];
-                            track_contender(&mut contenders, chain, base);
-                        }
-                        _ => break,
-                    }
-                    if fo.truncated {
-                        break;
-                    }
-                }
+                let rounds = MAX_IE_ROUNDS - 1;
+                eliminate_within(rater, &all, rounds, &mut base, &mut chain, &mut contenders);
             }
         }
-        // Final verification round, mirroring the GA's: re-rate the top
-        // contenders against O3 under one set of eval windows. Every
-        // finalist was already charged, so the round is budget-free; the
-        // MIN_GAIN guard means the answer never regresses below O3.
-        contenders.sort_by(|a, b| b.0.total_cmp(&a.0));
-        contenders.truncate(GA_FINALISTS);
+        // Final verification round, mirroring the GA's, against O3: the
+        // MIN_GAIN guard means the answer never regresses below O3. If the
+        // rater refuses the round, the strongest contender answers.
         let winner = if contenders.is_empty() {
             base0
         } else {
-            rater.check_cancel();
-            let finalists: Vec<OptConfig> = contenders.iter().map(|&(_, c)| c).collect();
-            match rater.rate(base0, &finalists) {
-                Some(fo) => {
-                    let besti = (0..fo.rated).max_by(|&a, &b| {
-                        fo.out.improvements[a].total_cmp(&fo.out.improvements[b])
-                    });
-                    match besti {
-                        Some(i) if fo.out.improvements[i] >= MIN_GAIN => finalists[i],
-                        _ => base0,
-                    }
+            verify_finalists(rater, base0, &mut contenders).unwrap_or_else(|| {
+                if contenders[0].0 >= MIN_GAIN {
+                    contenders[0].1
+                } else {
+                    base0
                 }
-                None => {
-                    if contenders[0].0 >= MIN_GAIN {
-                        contenders[0].1
-                    } else {
-                        base0
-                    }
-                }
-            }
+            })
         };
         rater.finish(winner)
     }
@@ -1043,9 +1008,7 @@ impl SearchStrategy for RandomSearchStrategy {
         let Some(fo) = rater.rate(base, &candidates) else {
             return rater.finish(base);
         };
-        let besti = (0..fo.rated)
-            .max_by(|&a, &b| fo.out.improvements[a].total_cmp(&fo.out.improvements[b]));
-        let best = match besti {
+        let best = match pick_best(&fo.out.improvements, fo.rated) {
             Some(i) if fo.out.improvements[i] >= MIN_GAIN => candidates[i],
             _ => base,
         };
@@ -1120,23 +1083,10 @@ pub fn build_strategy(kind: StrategyKind, seed: u64) -> Box<dyn SearchStrategy> 
 }
 
 /// Run `kind` on a pooled (per-candidate, thread-invariant) rater with
-/// an optional compilation budget. See [`search_with_strategy_spent`]
-/// for the budget-accounting variant.
-pub fn search_with_strategy(
-    setup: &mut TuningSetup<'_>,
-    pool: &Pool,
-    method: Method,
-    kind: StrategyKind,
-    budget: Option<usize>,
-    seed: u64,
-) -> SearchResult {
-    search_with_strategy_spent(setup, pool, method, kind, budget, seed).0
-}
-
-/// [`search_with_strategy`] that also returns the unique configurations
-/// charged — the number another strategy must be capped at for an
-/// equal-budget comparison. (Kept out of [`SearchResult`] so the golden
-/// JSON schema of the Table 1 pipeline stays untouched.)
+/// an optional compilation budget; also returns the unique
+/// configurations charged — the number another strategy must be capped
+/// at for an equal-budget comparison. (Kept out of [`SearchResult`] so
+/// the golden JSON schema of the Table 1 pipeline stays untouched.)
 pub fn search_with_strategy_spent(
     setup: &mut TuningSetup<'_>,
     pool: &Pool,

@@ -439,8 +439,7 @@ impl<'w> Tuner<'w> {
         self.last_method = used;
         self.ratings += candidates.len();
         self.round += 1;
-        let bestidx = (0..candidates.len())
-            .max_by(|&a, &b| out.improvements[a].total_cmp(&out.improvements[b]));
+        let bestidx = crate::search::pick_best(&out.improvements, candidates.len());
         let mut removed: Option<&'static str> = None;
         match bestidx {
             Some(i) if out.improvements[i] >= crate::search::MIN_GAIN => {

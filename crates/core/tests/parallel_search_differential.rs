@@ -1,6 +1,6 @@
 //! Differential determinism tests for the parallel candidate-frontier
-//! search: `iterative_elimination_parallel` must produce a bit-identical
-//! `SearchResult` at every thread count. The 1-thread pool runs every
+//! search: `iterative_elimination_parallel_capped` must produce a
+//! bit-identical `SearchResult` at every thread count. The 1-thread pool runs every
 //! job inline in index order — that *is* the serial reference — so
 //! comparing it against 2- and N-thread pools pins down the whole
 //! determinism story: per-job seeding, scratch isolation, index-ordered
