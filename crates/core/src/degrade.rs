@@ -8,8 +8,8 @@
 //! [`rate_with`](crate::rating::rate_with) with:
 //!
 //! 1. **Retry with backoff**: an unconverged rating is retried with a
-//!    widened window budget (`window_scale *= widen_factor`), up to
-//!    `max_retries` times and within an optional tuning-cycle budget;
+//!    widened window budget (`window_scale *= WIDEN_FACTOR`), up to
+//!    `MAX_RETRIES` times;
 //! 2. **Fallback cascade**: persistent failures walk down
 //!    preferred → consultant order → WHL, which is terminal and
 //!    best-effort (it accepts whatever it measures);
@@ -32,7 +32,7 @@ pub enum DegradeTrigger {
     ContextExplosion,
     /// Too many candidate windows failed to converge even after retries.
     Unconverged,
-    /// Measurement dropout rate exceeded the configured threshold.
+    /// Measurement dropout rate exceeded `DROPOUT_THRESHOLD`.
     DropoutRate,
     /// A version crashed during rating; deterministic crashes recur, so
     /// the method is abandoned without retry.
@@ -114,54 +114,21 @@ impl DegradeEvent {
     }
 }
 
-/// Supervisor policy knobs.
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub struct SupervisorConfig {
-    /// Widening retries per method before degrading.
-    pub max_retries: u32,
-    /// Window-budget multiplier applied per retry.
-    pub widen_factor: f64,
-    /// Dropout rate above which a method is abandoned immediately.
-    pub dropout_threshold: f64,
-    /// Fraction of candidates allowed to stay unconverged (mirrors the
-    /// §3 method-switch trigger).
-    pub switch_fraction: f64,
-    /// Optional tuning-cycle budget: once exceeded, no more retries are
-    /// spent (degradation still proceeds so the rating completes).
-    pub cycle_budget: Option<u64>,
-}
-
-impl Default for SupervisorConfig {
-    fn default() -> Self {
-        SupervisorConfig {
-            max_retries: 2,
-            widen_factor: 1.8,
-            dropout_threshold: 0.25,
-            switch_fraction: crate::search::SWITCH_FRACTION,
-            cycle_budget: None,
-        }
-    }
-}
+/// Widening retries per method before degrading.
+const MAX_RETRIES: u32 = 2;
+/// Window-budget multiplier applied per retry.
+const WIDEN_FACTOR: f64 = 1.8;
+/// Dropout rate above which a method is abandoned immediately.
+const DROPOUT_THRESHOLD: f64 = 0.25;
 
 /// Supervises rating calls: retries, degrades, and logs.
-#[derive(Debug, Clone)]
+#[derive(Debug, Clone, Default)]
 pub struct RatingSupervisor {
-    config: SupervisorConfig,
     events: Vec<DegradeEvent>,
     ratings: usize,
 }
 
 impl RatingSupervisor {
-    /// New supervisor with the given policy.
-    pub fn new(config: SupervisorConfig) -> Self {
-        RatingSupervisor { config, events: Vec::new(), ratings: 0 }
-    }
-
-    /// The policy in effect.
-    pub fn config(&self) -> &SupervisorConfig {
-        &self.config
-    }
-
     /// All downgrades logged so far.
     pub fn events(&self) -> &[DegradeEvent] {
         &self.events
@@ -189,29 +156,21 @@ impl RatingSupervisor {
         list
     }
 
-    /// Whether the cycle budget still allows spending more on retries.
-    fn budget_allows_retry(&self, setup: &TuningSetup<'_>) -> bool {
-        match self.config.cycle_budget {
-            Some(budget) => setup.tuning_cycles < budget,
-            None => true,
-        }
-    }
-
     /// Inspect an outcome for a reason to abandon the method right away
     /// (retrying cannot fix these: injected crashes are deterministic per
     /// invocation index, and a lossy channel stays lossy).
-    fn fatal_trigger(&self, out: &RateOutcome) -> Option<DegradeTrigger> {
+    fn fatal_trigger(out: &RateOutcome) -> Option<DegradeTrigger> {
         if out.crashes > 0 {
             return Some(DegradeTrigger::VersionCrash);
         }
-        if out.dropout_rate() > self.config.dropout_threshold {
+        if out.dropout_rate() > DROPOUT_THRESHOLD {
             return Some(DegradeTrigger::DropoutRate);
         }
         None
     }
 
     /// Trigger for an outcome that stayed unconverged after retries.
-    fn unconverged_trigger(&self, out: &RateOutcome) -> DegradeTrigger {
+    fn unconverged_trigger(out: &RateOutcome) -> DegradeTrigger {
         if out.method == Method::Mbr && out.vars.iter().any(|v| !v.is_finite()) {
             DegradeTrigger::IllConditioned
         } else {
@@ -269,18 +228,18 @@ impl RatingSupervisor {
                     // Best-effort terminal method: accept any outcome.
                     return (out, m);
                 }
-                if let Some(trigger) = self.fatal_trigger(&out) {
+                if let Some(trigger) = Self::fatal_trigger(&out) {
                     log(trigger, retries, &mut self.events);
                     last = Some(out);
                     break;
                 }
                 let frac_bad = out.unconverged as f64 / ncand;
-                if frac_bad <= self.config.switch_fraction {
+                if frac_bad <= crate::search::SWITCH_FRACTION {
                     return (out, m);
                 }
-                if retries < self.config.max_retries && self.budget_allows_retry(setup) {
+                if retries < MAX_RETRIES {
                     retries += 1;
-                    opts.window_scale *= self.config.widen_factor;
+                    opts.window_scale *= WIDEN_FACTOR;
                     event!(
                         tracer,
                         "supervisor.retry",
@@ -292,7 +251,7 @@ impl RatingSupervisor {
                     );
                     continue;
                 }
-                log(self.unconverged_trigger(&out), retries, &mut self.events);
+                log(Self::unconverged_trigger(&out), retries, &mut self.events);
                 last = Some(out);
                 break;
             }
@@ -305,12 +264,6 @@ impl RatingSupervisor {
                 .expect("WHL always rates")
         });
         (out, m)
-    }
-}
-
-impl Default for RatingSupervisor {
-    fn default() -> Self {
-        Self::new(SupervisorConfig::default())
     }
 }
 

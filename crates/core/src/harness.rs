@@ -8,6 +8,7 @@
 //! quantity WHL tuning pays in full and the section-level methods avoid.
 
 use crate::context::ContextKey;
+use crate::metrics::core_metrics;
 use peak_ir::{MemoryImage, Value};
 use peak_obs::Tracer;
 use peak_sim::{
@@ -27,22 +28,14 @@ const COPY_OVERHEAD_PER_ELEM: u64 = 1;
 /// bumps a plain field on the harness (no atomic at all); this commits
 /// the batch — one `fetch_add` per run instead of one per invocation —
 /// at run end and on harness drop, so metrics consumers that read after
-/// jobs complete see identical totals to the unbatched scheme.
+/// jobs complete see identical totals to the unbatched scheme. The
+/// batch is cleared whether or not recording is on, so invocations run
+/// while it was off are never counted later.
 #[inline]
 fn flush_invocation_count(pending: &mut u64) {
-    use peak_obs::metrics::{self, Counter, MetricsRegistry};
-    use std::sync::OnceLock;
-    if *pending == 0 || !metrics::enabled() {
-        return;
+    if *pending > 0 {
+        core_metrics().harness_invocations.add(std::mem::take(pending));
     }
-    static INVOCATIONS: OnceLock<std::sync::Arc<Counter>> = OnceLock::new();
-    INVOCATIONS
-        .get_or_init(|| {
-            MetricsRegistry::global()
-                .counter("core.harness.invocations", "TS invocations executed")
-        })
-        .add(*pending);
-    *pending = 0;
 }
 
 /// One application run.
@@ -235,7 +228,7 @@ impl<'w> RunHarness<'w> {
         self.pending_invs += 1;
         match self.tier {
             ExecTier::Interp => {
-                crate::tier::count_tier(ExecTier::Interp);
+                core_metrics().tier_invocations(ExecTier::Interp).inc();
                 peak_sim::execute_interp_with_scratch(
                     version,
                     args,
@@ -248,7 +241,7 @@ impl<'w> RunHarness<'w> {
             }
             ExecTier::Jit => {
                 if let Some(be) = crate::tier::jit_backend(version, &self.tracer) {
-                    crate::tier::count_tier(ExecTier::Jit);
+                    core_metrics().tier_invocations(ExecTier::Jit).inc();
                     return be.execute(
                         args,
                         &mut self.mem,
@@ -260,7 +253,7 @@ impl<'w> RunHarness<'w> {
                 }
                 // Version declined lowering: permanent per-version
                 // fallback to the predecoded tier.
-                crate::tier::count_tier(ExecTier::Predecoded);
+                core_metrics().tier_invocations(ExecTier::Predecoded).inc();
                 peak_sim::execute_with_scratch(
                     version,
                     args,
@@ -272,7 +265,7 @@ impl<'w> RunHarness<'w> {
                 )
             }
             ExecTier::Predecoded => {
-                crate::tier::count_tier(ExecTier::Predecoded);
+                core_metrics().tier_invocations(ExecTier::Predecoded).inc();
                 peak_sim::execute_with_scratch(
                     version,
                     args,

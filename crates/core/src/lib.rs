@@ -45,6 +45,7 @@ pub mod harness;
 pub mod job;
 pub mod linreg;
 pub mod mbr;
+mod metrics;
 pub mod rating;
 pub mod sched;
 pub mod search;
@@ -64,13 +65,14 @@ pub use compile::{
 };
 pub use consistency::{consistency_rows, consistency_rows_traced, ConsistencyRow, WINDOW_SIZES};
 pub use consultant::{consult, consult_shared, Consultation, Method};
-pub use degrade::{DegradeEvent, DegradeTrigger, RatingSupervisor, SupervisorConfig};
+pub use degrade::{DegradeEvent, DegradeTrigger, RatingSupervisor};
 pub use harness::RunHarness;
 pub use job::{
     classify_panic, machine_spec_by_name, method_by_name, run_tuning_job, CancelToken, Cancelled,
     JobError, TuningJobSpec,
 };
 pub use mbr::MbrModel;
+pub use metrics::register_metrics;
 pub use rating::{rate, rate_with, RateOptions, RateOutcome, TuningSetup};
 pub use sched::{default_threads, Pool, PoolStats};
 pub use search::{
@@ -85,8 +87,8 @@ pub use strategy::{
     SplitMix64, StrategyKind,
 };
 pub use tuner::{
-    measure_production, production_time, tune, tune_traced, tune_traced_pooled, tune_with_options,
+    measure_production, production_time, tune, tune_traced_pooled, tune_with_options,
     TuneOptions, TuneReport, Tuner,
 };
-pub use tier::{jit_backend, register_jit_metrics};
+pub use tier::jit_backend;
 pub use version_cache::{CacheStats, MemoStats, VersionCache, VersionKey};

@@ -365,16 +365,7 @@ pub fn rate_with(
     candidates: &[OptConfig],
     opts: &RateOptions,
 ) -> Option<RateOutcome> {
-    if peak_obs::metrics::enabled() {
-        use std::sync::OnceLock;
-        static CALLS: OnceLock<std::sync::Arc<peak_obs::Counter>> = OnceLock::new();
-        CALLS
-            .get_or_init(|| {
-                peak_obs::MetricsRegistry::global()
-                    .counter("core.rating.calls", "Rating invocations (any method)")
-            })
-            .inc();
-    }
+    crate::metrics::core_metrics().rating_calls.inc();
     let tracer = setup.tracer.clone();
     let _span = if tracer.enabled() {
         Some(tracer.span(

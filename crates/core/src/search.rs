@@ -50,24 +50,6 @@ impl ToJson for SearchResult {
     }
 }
 
-/// Live count of IE rounds executed (serial and parallel variants), fed
-/// to the global metrics registry; handle cached so steady state is one
-/// flag load + one `fetch_add`.
-#[inline]
-pub(crate) fn count_ie_round() {
-    use std::sync::OnceLock;
-    if !peak_obs::metrics::enabled() {
-        return;
-    }
-    static ROUNDS: OnceLock<std::sync::Arc<peak_obs::Counter>> = OnceLock::new();
-    ROUNDS
-        .get_or_init(|| {
-            peak_obs::MetricsRegistry::global()
-                .counter("core.search.ie_rounds", "Iterative-elimination rounds executed")
-        })
-        .inc();
-}
-
 /// Minimum relative improvement for a flag removal to count (noise guard).
 pub(crate) const MIN_GAIN: f64 = 1.012;
 /// Round cap for Iterative Elimination: each round removes one flag, and

@@ -38,11 +38,12 @@
 //! files.
 
 use crate::consultant::Method;
+use crate::metrics::core_metrics;
 use crate::rating::{RateOutcome, TuningSetup};
 use crate::sched::Pool;
 use crate::search::{
-    count_ie_round, frontier_seed_base, pick_best, rate_cascade, rate_frontier_parallel,
-    rate_with_fallback, SearchResult, MAX_IE_ROUNDS, MIN_GAIN,
+    frontier_seed_base, pick_best, rate_cascade, rate_frontier_parallel, rate_with_fallback,
+    SearchResult, MAX_IE_ROUNDS, MIN_GAIN,
 };
 use peak_obs::event;
 use peak_opt::{Flag, OptConfig, ALL_FLAGS, NUM_FLAGS};
@@ -441,7 +442,7 @@ enum IeRound {
 /// decides whether the pick clears [`MIN_GAIN`].
 fn ie_round(rater: &mut FrontierRater<'_, '_>, base: OptConfig, flags: &[Flag]) -> IeRound {
     rater.check_cancel();
-    count_ie_round();
+    core_metrics().ie_rounds.inc();
     if flags.is_empty() {
         return IeRound::Empty;
     }

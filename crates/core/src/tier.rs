@@ -8,71 +8,14 @@
 //! lowering per version (shared process-wide through the version
 //! cache), with a remembered `None` for versions that declined — the
 //! permanent per-version fallback the tier ladder promises. Declines
-//! emit a `jit.deopt` trace event and bump `core.jit.deopts`; the
-//! metric names are:
-//!
-//! * `core.jit.blocks_compiled` — basic blocks lowered to threaded code
-//! * `core.jit.deopts` — versions that declined lowering (fell back)
-//! * `core.jit.tier_invocations.{interp,predecoded,jit}` — invocations
-//!   executed per tier (the predecoded count includes jit-tier
-//!   fallback executions)
+//! emit a `jit.deopt` trace event and bump `core.jit.deopts`; lowering
+//! adds to `core.jit.blocks_compiled` (handles in `crate::metrics`).
 
-use peak_obs::metrics::{self, Counter, MetricsRegistry};
+use crate::metrics::core_metrics;
 use peak_obs::Tracer;
-use peak_sim::{ExecTier, PreparedVersion, TierBackend};
+use peak_sim::{PreparedVersion, TierBackend};
 use peak_util::Json;
-use std::sync::{Arc, OnceLock};
-
-macro_rules! cached_counter {
-    ($name:literal, $help:literal) => {{
-        static CELL: OnceLock<Arc<Counter>> = OnceLock::new();
-        CELL.get_or_init(|| MetricsRegistry::global().counter($name, $help))
-    }};
-}
-
-/// Count one executed invocation against the tier that actually ran it
-/// (hot path: one relaxed flag load, then a cached-handle `fetch_add`).
-#[inline]
-pub(crate) fn count_tier(tier: ExecTier) {
-    if !metrics::enabled() {
-        return;
-    }
-    match tier {
-        ExecTier::Interp => cached_counter!(
-            "core.jit.tier_invocations.interp",
-            "TS invocations executed by the slow interpreter tier"
-        ),
-        ExecTier::Predecoded => cached_counter!(
-            "core.jit.tier_invocations.predecoded",
-            "TS invocations executed by the predecoded tier (includes jit fallback)"
-        ),
-        ExecTier::Jit => cached_counter!(
-            "core.jit.tier_invocations.jit",
-            "TS invocations executed by the threaded-code jit tier"
-        ),
-    }
-    .inc();
-}
-
-/// Ensure the jit tier counters exist in the registry (at zero) so
-/// stats snapshots always carry them, even before the first jit-tier
-/// invocation. Called by the serve daemon's stats path.
-pub fn register_jit_metrics() {
-    cached_counter!(
-        "core.jit.tier_invocations.interp",
-        "TS invocations executed by the slow interpreter tier"
-    );
-    cached_counter!(
-        "core.jit.tier_invocations.predecoded",
-        "TS invocations executed by the predecoded tier (includes jit fallback)"
-    );
-    cached_counter!(
-        "core.jit.tier_invocations.jit",
-        "TS invocations executed by the threaded-code jit tier"
-    );
-    cached_counter!("core.jit.blocks_compiled", "Basic blocks lowered to threaded code");
-    cached_counter!("core.jit.deopts", "Versions that declined jit lowering (fell back)");
-}
+use std::sync::Arc;
 
 /// The version's native backend, lowering it on first request (budget
 /// from `PEAK_JIT_MAX_STMTS`). `None` = this version declined and
@@ -86,23 +29,11 @@ pub fn jit_backend<'a>(
         let opts = peak_jit::JitOptions::from_env();
         match peak_jit::lower(pv, &opts) {
             Ok(jv) => {
-                if metrics::enabled() {
-                    cached_counter!(
-                        "core.jit.blocks_compiled",
-                        "Basic blocks lowered to threaded code"
-                    )
-                    .add(jv.blocks() as u64);
-                }
+                core_metrics().jit_blocks_compiled.add(jv.blocks() as u64);
                 Some(Arc::new(jv) as Arc<dyn TierBackend>)
             }
             Err(reason) => {
-                if metrics::enabled() {
-                    cached_counter!(
-                        "core.jit.deopts",
-                        "Versions that declined jit lowering (fell back)"
-                    )
-                    .inc();
-                }
+                core_metrics().jit_deopts.inc();
                 if tracer.enabled() {
                     tracer.emit(
                         "jit.deopt",

@@ -8,7 +8,7 @@
 
 use crate::checkpoint::TunerCheckpoint;
 use crate::consultant::Method;
-use crate::degrade::{DegradeEvent, RatingSupervisor, SupervisorConfig};
+use crate::degrade::{DegradeEvent, RatingSupervisor};
 use crate::job::CancelToken;
 use crate::rating::{rate, TuningSetup};
 use crate::sched::Pool;
@@ -126,28 +126,17 @@ pub fn tune(
     method: Method,
     tuned_on: Dataset,
 ) -> TuneReport {
-    tune_traced(workload, spec, method, tuned_on, Tracer::disabled())
+    let pool = Pool::with_threads(1);
+    tune_traced_pooled(workload, spec, method, tuned_on, Tracer::disabled(), &pool)
 }
 
-/// [`tune`] with a tracer installed for the tuning phase: every rating
-/// call and tuning run emits telemetry. With a disabled tracer this is
-/// exactly [`tune`] (which delegates here).
-pub fn tune_traced(
-    workload: &dyn Workload,
-    spec: &MachineSpec,
-    method: Method,
-    tuned_on: Dataset,
-    tracer: Tracer,
-) -> TuneReport {
-    tune_traced_pooled(workload, spec, method, tuned_on, tracer, &Pool::with_threads(1))
-}
-
-/// [`tune_traced`] with a job pool installed on the tuning setup: each
-/// IE round's candidate frontier is pre-compiled in parallel through the
-/// shared [`VersionCache`]. Warm-up is pure (compilation is
-/// deterministic and cached), so every output — ratings, flags, cycles,
-/// traces — is byte-identical to [`tune_traced`] at any pool size; only
-/// wall-clock time changes.
+/// [`tune`] with a tracer installed for the tuning phase (every rating
+/// call and tuning run emits telemetry) and a job pool installed on the
+/// tuning setup: each IE round's candidate frontier is pre-compiled in
+/// parallel through the shared [`VersionCache`]. Warm-up is pure
+/// (compilation is deterministic and cached), so every output —
+/// ratings, flags, cycles, traces — is byte-identical at any pool size;
+/// only wall-clock time changes.
 pub fn tune_traced_pooled(
     workload: &dyn Workload,
     spec: &MachineSpec,
@@ -292,11 +281,6 @@ impl<'w> Tuner<'w> {
             done: false,
             checkpoint_path: None,
         }
-    }
-
-    /// Override the supervisor policy (must be called before stepping).
-    pub fn set_supervisor(&mut self, config: SupervisorConfig) {
-        self.supervisor = RatingSupervisor::new(config);
     }
 
     /// Install a tracer on the underlying [`TuningSetup`]: tuner rounds,
@@ -529,16 +513,6 @@ fn dataset_name(ds: Dataset) -> &'static str {
     }
 }
 
-/// The methods evaluated for one benchmark in Figure 7: every applicable
-/// rating method plus the AVG and WHL baselines.
-pub fn figure7_methods(workload: &dyn Workload, spec: &MachineSpec) -> Vec<Method> {
-    let consult = crate::consultant::consult_shared(workload, spec);
-    let mut ms = consult.order.clone();
-    ms.push(Method::Avg);
-    ms.push(Method::Whl);
-    ms
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -573,16 +547,6 @@ mod tests {
             report.improvement_pct,
             report.search.disabled_flags
         );
-    }
-
-    #[test]
-    fn figure7_method_lists() {
-        let w = SwimCalc3::new();
-        let ms = figure7_methods(&w, &MachineSpec::sparc_ii());
-        assert_eq!(ms.first(), Some(&Method::Cbr));
-        assert!(ms.contains(&Method::Avg));
-        assert!(ms.contains(&Method::Whl));
-        assert_eq!(ms.last(), Some(&Method::Whl));
     }
 
     #[test]

@@ -529,7 +529,9 @@ impl VersionCache {
     /// side; this sync-on-read (called by whoever is about to snapshot —
     /// the serve daemon's stats handler) advances the registry counters
     /// by the accumulated delta, so the exported series stays monotonic
-    /// without double-counting.
+    /// without double-counting. While recording is off the registry
+    /// instruments ignore the sync; the next publish with recording on
+    /// catches the mirror up to the cache's totals.
     pub fn publish_metrics(&self) {
         use peak_obs::metrics::MetricsRegistry;
         let r = MetricsRegistry::global();

@@ -29,7 +29,7 @@ fn declined_lowering_falls_back_to_predecoded_with_identical_results() {
     // A one-statement budget: every real workload declines to lower.
     std::env::set_var("PEAK_JIT_MAX_STMTS", "1");
     metrics::set_enabled(true);
-    peak_core::register_jit_metrics();
+    peak_core::register_metrics();
 
     let w = workload_by_name("swim").expect("known workload");
     let spec = MachineSpec::sparc_ii();

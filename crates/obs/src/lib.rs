@@ -30,8 +30,8 @@
 //!   parallel bench bins), a buffered file [`JsonlSink`], a bounded
 //!   [`RingSink`] (the flight recorder's window), and a teeing
 //!   [`FanoutSink`];
-//! * [`tracer`] — the [`Tracer`] handle plus the [`span!`], [`event!`]
-//!   and [`counter!`] macros;
+//! * [`tracer`] — the [`Tracer`] handle plus the [`span!`] and
+//!   [`event!`] macros;
 //! * [`metrics`] — the live-aggregate counterpart to tracing: a
 //!   process-wide [`MetricsRegistry`] of atomic counters, gauges and
 //!   log-bucketed histograms with deterministic [`Snapshot`]s,

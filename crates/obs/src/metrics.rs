@@ -9,14 +9,16 @@
 //! 1. **Lock-free hot path.** A metric handle is an `Arc` around plain
 //!    atomics; [`Counter::inc`] is one relaxed `fetch_add`, zero
 //!    allocation, no lock. The registry mutex is touched only at
-//!    registration and snapshot time. Call sites cache handles in
-//!    `OnceLock` statics so steady-state cost is one atomic load plus
-//!    the increment.
-//! 2. **Globally switchable.** [`enabled`] is a single relaxed load of
-//!    a process-wide flag (default on; `PEAK_METRICS=0` or
-//!    [`set_enabled`]`(false)` turns it off). The hotpath bench gate
-//!    measures on-vs-off and fails the build if observation perturbs
-//!    the observed system by more than its budget.
+//!    registration and snapshot time. Each recording module keeps its
+//!    handles in one `OnceLock`'d struct, registered together, so
+//!    steady-state cost is the switch load plus the increment.
+//! 2. **Globally switchable, by the instruments.** Every recording
+//!    method ([`Counter::inc`], [`Gauge::set`], [`Histogram::observe`],
+//!    …) first does one relaxed load of a process-wide flag (default
+//!    on) and returns at once when it is off, so call sites just count
+//!    and never test the switch themselves. [`set_enabled`] flips it:
+//!    the hotpath bench gate measures on-vs-off and fails the build if
+//!    observation perturbs the observed system by more than its budget.
 //! 3. **Deterministic snapshots.** [`Snapshot`] orders metrics by name
 //!    and exposes an exact [`Snapshot::delta`], so same-seed runs
 //!    produce identical counter snapshots. Wall-clock *histograms*
@@ -39,27 +41,20 @@ use std::sync::{Arc, Mutex, OnceLock};
 /// the last bucket absorbs everything wider.
 pub const HIST_BUCKETS: usize = 32;
 
-fn enabled_flag() -> &'static AtomicBool {
-    static FLAG: OnceLock<AtomicBool> = OnceLock::new();
-    FLAG.get_or_init(|| {
-        let off = std::env::var("PEAK_METRICS")
-            .is_ok_and(|v| matches!(v.as_str(), "0" | "off" | "false"));
-        AtomicBool::new(!off)
-    })
-}
+static ENABLED: AtomicBool = AtomicBool::new(true);
 
-/// Whether metric recording is on. One relaxed atomic load — hot sites
-/// guard their increment behind this so a metrics-off run does no
-/// metric work at all.
+/// Whether metric recording is on. One relaxed atomic load; the
+/// instruments check it themselves, so only code that flips the switch
+/// needs to read it.
 #[inline]
 pub fn enabled() -> bool {
-    enabled_flag().load(Ordering::Relaxed)
+    ENABLED.load(Ordering::Relaxed)
 }
 
 /// Flip metric recording at runtime (the overhead bench uses this to
 /// interleave on/off measurement slices in one process).
 pub fn set_enabled(on: bool) {
-    enabled_flag().store(on, Ordering::Relaxed);
+    ENABLED.store(on, Ordering::Relaxed);
 }
 
 /// Monotonic event counter.
@@ -72,13 +67,15 @@ impl Counter {
     /// Add one.
     #[inline]
     pub fn inc(&self) {
-        self.value.fetch_add(1, Ordering::Relaxed);
+        self.add(1);
     }
 
-    /// Add `n`.
+    /// Add `n` (no-op while recording is off).
     #[inline]
     pub fn add(&self, n: u64) {
-        self.value.fetch_add(n, Ordering::Relaxed);
+        if enabled() {
+            self.value.fetch_add(n, Ordering::Relaxed);
+        }
     }
 
     /// Current value.
@@ -95,22 +92,27 @@ pub struct Gauge {
 }
 
 impl Gauge {
-    /// Set to an absolute value.
+    /// Set to an absolute value (no-op while recording is off).
     #[inline]
     pub fn set(&self, v: i64) {
-        self.value.store(v, Ordering::Relaxed);
+        if enabled() {
+            self.value.store(v, Ordering::Relaxed);
+        }
     }
 
-    /// Add `n` (e.g. +1 when a worker picks a job up).
+    /// Add `n` (e.g. +1 when a worker picks a job up; no-op while
+    /// recording is off).
     #[inline]
     pub fn add(&self, n: i64) {
-        self.value.fetch_add(n, Ordering::Relaxed);
+        if enabled() {
+            self.value.fetch_add(n, Ordering::Relaxed);
+        }
     }
 
     /// Subtract `n`.
     #[inline]
     pub fn sub(&self, n: i64) {
-        self.value.fetch_sub(n, Ordering::Relaxed);
+        self.add(n.wrapping_neg());
     }
 
     /// Current value.
@@ -159,9 +161,12 @@ pub fn bucket_bound(k: usize) -> Option<u64> {
 }
 
 impl Histogram {
-    /// Record one observation.
+    /// Record one observation (no-op while recording is off).
     #[inline]
     pub fn observe(&self, v: u64) {
+        if !enabled() {
+            return;
+        }
         self.count.fetch_add(1, Ordering::Relaxed);
         self.sum.fetch_add(v, Ordering::Relaxed);
         self.buckets[bucket_index(v)].fetch_add(1, Ordering::Relaxed);
@@ -639,6 +644,14 @@ pub fn parse_exposition(text: &str) -> Result<Vec<ExpoSample>, String> {
 mod tests {
     use super::*;
 
+    /// Held by every test that records or flips the switch: recording
+    /// reads the process-wide flag, so a test flipping it must not
+    /// interleave with a sibling test that counts.
+    fn switch_lock() -> std::sync::MutexGuard<'static, ()> {
+        static LOCK: Mutex<()> = Mutex::new(());
+        LOCK.lock().unwrap_or_else(|e| e.into_inner())
+    }
+
     #[test]
     fn bucket_index_covers_the_u64_range() {
         assert_eq!(bucket_index(0), 0);
@@ -658,6 +671,7 @@ mod tests {
 
     #[test]
     fn registration_is_idempotent_and_kind_checked() {
+        let _switch = switch_lock();
         let r = MetricsRegistry::new();
         let a = r.counter("x.count", "a counter");
         let b = r.counter("x.count", "ignored duplicate help");
@@ -672,6 +686,7 @@ mod tests {
 
     #[test]
     fn concurrent_increments_are_exact() {
+        let _switch = switch_lock();
         const THREADS: usize = 8;
         const PER_THREAD: u64 = 20_000;
         let r = MetricsRegistry::new();
@@ -703,6 +718,7 @@ mod tests {
 
     #[test]
     fn snapshot_is_name_ordered_and_delta_subtracts() {
+        let _switch = switch_lock();
         let r = MetricsRegistry::new();
         let b = r.counter("b.count", "");
         let a = r.counter("a.count", "");
@@ -723,6 +739,7 @@ mod tests {
 
     #[test]
     fn exposition_round_trips_through_the_parser() {
+        let _switch = switch_lock();
         let r = MetricsRegistry::new();
         r.counter("serve.jobs_ok", "Jobs completed").add(42);
         r.gauge("serve.queue_depth", "Queued jobs").set(3);
@@ -763,6 +780,7 @@ mod tests {
 
     #[test]
     fn json_round_trip_preserves_values() {
+        let _switch = switch_lock();
         let r = MetricsRegistry::new();
         r.counter("c.one", "").add(7);
         r.gauge("g.one", "").set(-2);
@@ -785,6 +803,7 @@ mod tests {
 
     #[test]
     fn without_histograms_drops_only_histograms() {
+        let _switch = switch_lock();
         let r = MetricsRegistry::new();
         r.counter("keep.count", "").inc();
         r.histogram("drop.hist", "").observe(1);
@@ -795,13 +814,18 @@ mod tests {
 
     #[test]
     fn enable_switch_is_observable() {
-        // Don't assume the ambient default (other tests may have
-        // flipped it); just check both transitions.
-        let before = enabled();
+        let _switch = switch_lock();
+        let r = MetricsRegistry::new();
+        let (c, g, h) = (r.counter("c", ""), r.gauge("g", ""), r.histogram("h", ""));
         set_enabled(false);
         assert!(!enabled());
+        c.inc();
+        g.set(5);
+        h.observe(1);
         set_enabled(true);
         assert!(enabled());
-        set_enabled(before);
+        assert_eq!((c.get(), g.get(), h.count()), (0, 0, 0), "instruments obey the switch");
+        c.inc();
+        assert_eq!(c.get(), 1);
     }
 }

@@ -288,26 +288,6 @@ macro_rules! span {
     };
 }
 
-/// Emit a named counter sample: a `counter` event with `name` and
-/// `value` fields (plus any extra `key = value` context).
-///
-/// ```ignore
-/// counter!(tracer, "sim.instructions", total, ts = ts_name);
-/// ```
-#[macro_export]
-macro_rules! counter {
-    ($tracer:expr, $name:expr, $value:expr $(, $key:ident = $value2:expr)* $(,)?) => {
-        if $tracer.enabled() {
-            let mut f = $crate::fields!($($key = $value2),*);
-            let mut all = Vec::with_capacity(f.len() + 2);
-            all.push(("name".to_owned(), $crate::event::FieldValue::into_field($name)));
-            all.push(("value".to_owned(), $crate::event::FieldValue::into_field($value)));
-            all.append(&mut f);
-            $tracer.emit("counter", all);
-        }
-    };
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -370,17 +350,6 @@ mod tests {
         assert_eq!(exits.len(), 2);
         assert_eq!(exits[0].field("name").unwrap().as_str(), Some("inner"));
         assert_eq!(exits[1].field("name").unwrap().as_str(), Some("outer"));
-    }
-
-    #[test]
-    fn counter_macro_shapes_fields() {
-        let (t, sink) = traced();
-        crate::counter!(t, "sim.instructions", 1234u64, ts = "TS7");
-        let ev = TraceEvent::parse_line(&sink.lines()[0]).unwrap();
-        assert_eq!(ev.kind, "counter");
-        assert_eq!(ev.field("name").unwrap().as_str(), Some("sim.instructions"));
-        assert_eq!(ev.field("value").unwrap().as_u64(), Some(1234));
-        assert_eq!(ev.field("ts").unwrap().as_str(), Some("TS7"));
     }
 
     #[test]

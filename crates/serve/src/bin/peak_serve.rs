@@ -129,7 +129,7 @@ fn render_stats(j: &Json) {
         );
     }
     let Some(snap) = j.get("metrics").and_then(Snapshot::from_json) else {
-        println!("metrics unavailable (daemon running with PEAK_METRICS=0?)");
+        println!("metrics unavailable (no snapshot in the stats response)");
         return;
     };
     println!("metrics");

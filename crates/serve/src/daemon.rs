@@ -35,7 +35,7 @@ use crate::store::{KnowledgeStore, StoreRecord};
 use crate::supervisor::{run_supervised, DeadlineWatchdog, RetryPolicy};
 use peak_core::sched::Pool;
 use peak_core::{method_by_name, CancelToken, JobError, TuningJobSpec, VersionCache};
-use peak_obs::metrics::{self, Counter, Gauge, MetricsRegistry};
+use peak_obs::metrics::{Counter, Gauge, MetricsRegistry};
 use peak_obs::{event, span, Tracer};
 use peak_util::{Json, ToJson};
 use std::collections::VecDeque;
@@ -104,8 +104,15 @@ struct Stats {
     postmortems: AtomicU64,
 }
 
+/// Count one daemon event in its per-daemon [`Stats`] atomic and in the
+/// process-wide registry twin.
+fn bump(local: &AtomicU64, global: &Counter) {
+    local.fetch_add(1, Ordering::Relaxed);
+    global.inc();
+}
+
 /// Process-wide metric handles the daemon feeds (registered once; every
-/// increment is one relaxed `fetch_add` behind the global enable flag).
+/// increment is one relaxed `fetch_add`, skipped while recording is off).
 struct ServeMetrics {
     connections: Arc<Counter>,
     requests: Arc<Counter>,
@@ -215,6 +222,7 @@ pub fn start(config: ServeConfig, tracer: Tracer) -> std::io::Result<DaemonHandl
     // post-mortem artifact.
     let open_recorder = FlightRecorder::new("store-open", "");
     let store = KnowledgeStore::open(&config.store_dir, open_recorder.tracer(&tracer))?;
+    let stats = Stats::default();
     if store.quarantined() > 0 {
         match open_recorder.dump(&config.postmortem_dir(), "store_quarantine") {
             Ok(path) => {
@@ -224,9 +232,7 @@ pub fn start(config: ServeConfig, tracer: Tracer) -> std::io::Result<DaemonHandl
                 event!(tracer, "serve.postmortem_error", reason = "store_quarantine", error = e.to_string());
             }
         }
-        if metrics::enabled() {
-            serve_metrics().postmortems.inc();
-        }
+        bump(&stats.postmortems, &serve_metrics().postmortems);
     }
     event!(
         tracer,
@@ -244,13 +250,10 @@ pub fn start(config: ServeConfig, tracer: Tracer) -> std::io::Result<DaemonHandl
         queue: Mutex::new(VecDeque::new()),
         queue_cv: Condvar::new(),
         shutdown: AtomicBool::new(false),
-        stats: Stats::default(),
+        stats,
         config,
         store: Mutex::new(store),
     });
-    if lock_ok(&inner.store).quarantined() > 0 {
-        inner.stats.postmortems.fetch_add(1, Ordering::Relaxed);
-    }
     let workers = (0..inner.config.workers.max(1))
         .map(|k| {
             let inner = inner.clone();
@@ -311,9 +314,7 @@ fn respond(out: &Out, line: &str) {
 }
 
 fn connection_loop(inner: &Arc<Inner>, stream: UnixStream) {
-    if metrics::enabled() {
-        serve_metrics().connections.inc();
-    }
+    serve_metrics().connections.inc();
     let Ok(read_half) = stream.try_clone() else { return };
     let out: Out = Arc::new(Mutex::new(stream));
     let reader = BufReader::new(read_half);
@@ -335,10 +336,10 @@ fn stats_response(inner: &Arc<Inner>, id: &str) -> String {
         (store.len() as u64, store.quarantined() as u64, store.health())
     };
     // Pull the lazily-synced sources into the registry before
-    // snapshotting so the exposition is current, and make sure the jit
-    // tier counters exist even before the first jit-tier invocation.
+    // snapshotting so the exposition is current, and make sure the core
+    // counters exist even before the first job.
     VersionCache::global().publish_metrics();
-    peak_core::register_jit_metrics();
+    peak_core::register_metrics();
     let m = serve_metrics();
     m.queue_depth.set(lock_ok(&inner.queue).len() as i64);
     let snapshot = MetricsRegistry::global().snapshot();
@@ -383,17 +384,13 @@ fn handle_line(inner: &Arc<Inner>, line: &str, out: &Out) {
     let request = match parse_request(line) {
         Ok(r) => r,
         Err(reason) => {
-            if metrics::enabled() {
-                serve_metrics().malformed.inc();
-            }
+            serve_metrics().malformed.inc();
             let id = salvage_id(line);
             respond(out, &error_response(id.as_deref(), "malformed", &reason, 0));
             return;
         }
     };
-    if metrics::enabled() {
-        serve_metrics().requests.inc();
-    }
+    serve_metrics().requests.inc();
     match request {
         Request::Ping { id } => {
             respond(out, &ok_response(&id, vec![("pong", Json::Bool(true))]));
@@ -416,10 +413,7 @@ fn handle_line(inner: &Arc<Inner>, line: &str, out: &Out) {
             let mut queue = lock_ok(&inner.queue);
             if queue.len() >= inner.config.queue_cap {
                 drop(queue);
-                inner.stats.shed.fetch_add(1, Ordering::Relaxed);
-                if metrics::enabled() {
-                    serve_metrics().shed.inc();
-                }
+                bump(&inner.stats.shed, &serve_metrics().shed);
                 event!(inner.tracer, "serve.shed", id = id.as_str(), benchmark = job.benchmark.as_str());
                 respond(
                     out,
@@ -433,9 +427,7 @@ fn handle_line(inner: &Arc<Inner>, line: &str, out: &Out) {
                 return;
             }
             queue.push_back(QueuedJob { id, job, line: line.to_owned(), out: out.clone() });
-            if metrics::enabled() {
-                serve_metrics().queue_depth.set(queue.len() as i64);
-            }
+            serve_metrics().queue_depth.set(queue.len() as i64);
             drop(queue);
             inner.queue_cv.notify_one();
         }
@@ -448,9 +440,7 @@ fn worker_loop(inner: &Arc<Inner>) {
             let mut queue = lock_ok(&inner.queue);
             loop {
                 if let Some(job) = queue.pop_front() {
-                    if metrics::enabled() {
-                        serve_metrics().queue_depth.set(queue.len() as i64);
-                    }
+                    serve_metrics().queue_depth.set(queue.len() as i64);
                     break job;
                 }
                 if inner.shutdown.load(Ordering::SeqCst) {
@@ -467,13 +457,9 @@ fn worker_loop(inner: &Arc<Inner>) {
             );
             continue;
         }
-        if metrics::enabled() {
-            serve_metrics().workers_busy.add(1);
-        }
+        serve_metrics().workers_busy.add(1);
         process_tune(inner, &queued);
-        if metrics::enabled() {
-            serve_metrics().workers_busy.sub(1);
-        }
+        serve_metrics().workers_busy.sub(1);
     }
 }
 
@@ -493,10 +479,7 @@ fn process_tune(inner: &Arc<Inner>, queued: &QueuedJob) {
         Some(name) => match method_by_name(name) {
             Some(m) => Some(m),
             None => {
-                inner.stats.jobs_failed.fetch_add(1, Ordering::Relaxed);
-                if metrics::enabled() {
-                    serve_metrics().jobs_failed.inc();
-                }
+                bump(&inner.stats.jobs_failed, &serve_metrics().jobs_failed);
                 let e = JobError::UnknownMethod(name.clone());
                 respond(&queued.out, &error_response(Some(id), e.kind(), &e.to_string(), 0));
                 return;
@@ -508,10 +491,7 @@ fn process_tune(inner: &Arc<Inner>, queued: &QueuedJob) {
     // queueing any tuning work (the job layer re-validates).
     if let Some(name) = &req.strategy {
         if peak_core::strategy_kind_by_name(name).is_none() {
-            inner.stats.jobs_failed.fetch_add(1, Ordering::Relaxed);
-            if metrics::enabled() {
-                serve_metrics().jobs_failed.inc();
-            }
+            bump(&inner.stats.jobs_failed, &serve_metrics().jobs_failed);
             let e = JobError::UnknownStrategy(name.clone());
             respond(&queued.out, &error_response(Some(id), e.kind(), &e.to_string(), 0));
             return;
@@ -562,10 +542,7 @@ fn process_tune(inner: &Arc<Inner>, queued: &QueuedJob) {
     );
     match outcome.result {
         Ok(report) => {
-            inner.stats.jobs_ok.fetch_add(1, Ordering::Relaxed);
-            if metrics::enabled() {
-                serve_metrics().jobs_ok.inc();
-            }
+            bump(&inner.stats.jobs_ok, &serve_metrics().jobs_ok);
             if let Some(f) = features {
                 let rec = StoreRecord {
                     benchmark: report.benchmark.clone(),
@@ -589,10 +566,7 @@ fn process_tune(inner: &Arc<Inner>, queued: &QueuedJob) {
             respond(&queued.out, &ok_response(id, extra));
         }
         Err(e) => {
-            inner.stats.jobs_failed.fetch_add(1, Ordering::Relaxed);
-            if metrics::enabled() {
-                serve_metrics().jobs_failed.inc();
-            }
+            bump(&inner.stats.jobs_failed, &serve_metrics().jobs_failed);
             let (kind, message) = if e == JobError::Cancelled && outcome.deadline_hit {
                 (
                     "deadline_exceeded",
@@ -612,10 +586,7 @@ fn process_tune(inner: &Arc<Inner>, queued: &QueuedJob) {
             if let Some(reason) = postmortem_reason {
                 match recorder.dump(&inner.config.postmortem_dir(), reason) {
                     Ok(path) => {
-                        inner.stats.postmortems.fetch_add(1, Ordering::Relaxed);
-                        if metrics::enabled() {
-                            serve_metrics().postmortems.inc();
-                        }
+                        bump(&inner.stats.postmortems, &serve_metrics().postmortems);
                         event!(
                             inner.tracer,
                             "serve.postmortem",

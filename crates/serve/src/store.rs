@@ -37,7 +37,7 @@
 //! back to the full O3 sweep.
 
 use crate::features::FeatureVec;
-use peak_obs::metrics::{self, Counter, MetricsRegistry};
+use peak_obs::metrics::{Counter, MetricsRegistry};
 use peak_obs::{event, Tracer};
 use peak_util::{crc32, Json, ToJson};
 use std::path::{Path, PathBuf};
@@ -307,11 +307,9 @@ impl KnowledgeStore {
         let salvaged = load.records.len();
         self.shard_health[shard].salvaged = salvaged;
         self.shard_health[shard].rejected = load.rejected;
-        if metrics::enabled() {
-            let m = store_metrics();
-            m.salvaged.add(salvaged as u64);
-            m.rejected.add(load.rejected as u64);
-        }
+        let m = store_metrics();
+        m.salvaged.add(salvaged as u64);
+        m.rejected.add(load.rejected as u64);
         self.shards[shard] = load.records;
         let rewritten = if salvaged > 0 {
             self.rewrite_shard(shard).is_ok()
@@ -346,9 +344,7 @@ impl KnowledgeStore {
             let _ = std::fs::remove_file(path);
         }
         self.quarantined += 1;
-        if metrics::enabled() {
-            store_metrics().quarantined.inc();
-        }
+        store_metrics().quarantined.inc();
         let t = &self.tracer;
         event!(
             t,
@@ -372,9 +368,7 @@ impl KnowledgeStore {
             None => shard.push(rec),
         }
         self.shard_health[k].records = self.shards[k].len();
-        if metrics::enabled() {
-            store_metrics().written.inc();
-        }
+        store_metrics().written.inc();
         self.rewrite_shard(k)
     }
 
@@ -406,10 +400,8 @@ impl KnowledgeStore {
                     .then_with(|| a.benchmark.cmp(&b.benchmark))
                     .then_with(|| a.method.cmp(&b.method))
             });
-        if metrics::enabled() {
-            let m = store_metrics();
-            if hit.is_some() { m.nearest_hits.inc() } else { m.nearest_misses.inc() }
-        }
+        let m = store_metrics();
+        if hit.is_some() { m.nearest_hits.inc() } else { m.nearest_misses.inc() }
         hit
     }
 

@@ -20,7 +20,7 @@ use crate::protocol::Inject;
 use peak_core::{classify_panic, run_tuning_job, CancelToken, JobError, TuningJobSpec};
 use peak_core::sched::Pool;
 use peak_core::tuner::TuneReport;
-use peak_obs::metrics::{self, Counter, Histogram, MetricsRegistry};
+use peak_obs::metrics::{Counter, Histogram, MetricsRegistry};
 use peak_obs::{event, Tracer};
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::atomic::{AtomicBool, Ordering};
@@ -289,7 +289,7 @@ pub fn run_supervised(
     let mut retries = 0;
     loop {
         let result = run_attempt(spec, inject, tracer, pool, &cancel);
-        if metrics::enabled() && matches!(result, Err(JobError::Panicked(_))) {
+        if matches!(result, Err(JobError::Panicked(_))) {
             sup_metrics().panics.inc();
         }
         let retryable = matches!(result, Err(JobError::Panicked(_)))
@@ -297,12 +297,10 @@ pub fn run_supervised(
             && !cancel.is_cancelled();
         if !retryable {
             let deadline_hit = armed.as_ref().is_some_and(ArmedDeadline::fired);
-            if metrics::enabled() {
-                let m = sup_metrics();
-                m.job_wall_ms.observe(started.elapsed().as_millis() as u64);
-                if deadline_hit {
-                    m.deadline_fired.inc();
-                }
+            let m = sup_metrics();
+            m.job_wall_ms.observe(started.elapsed().as_millis() as u64);
+            if deadline_hit {
+                m.deadline_fired.inc();
             }
             return JobOutcome { result, retries, deadline_hit };
         }
@@ -314,9 +312,7 @@ pub fn run_supervised(
             retry = (retries + 1) as u64,
             backoff_ms = backoff.as_millis() as u64,
         );
-        if metrics::enabled() {
-            sup_metrics().retries.inc();
-        }
+        sup_metrics().retries.inc();
         sleep_cancellable(backoff, &cancel);
         retries += 1;
     }
