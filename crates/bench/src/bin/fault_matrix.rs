@@ -110,7 +110,7 @@ fn main() {
     );
 
     // Applicable methods for this TS, always ending in the baselines.
-    let consult = peak_core::consult(workload.as_ref(), &spec);
+    let consult = peak_core::consult_shared(workload.as_ref(), &spec);
     let mut methods = consult.order.clone();
     if !methods.contains(&Method::Whl) {
         methods.push(Method::Whl);

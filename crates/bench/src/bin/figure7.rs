@@ -168,7 +168,7 @@ fn print_improvements(cells: &[Figure7Cell], kind: MachineKind, datasets: &[Data
                             c.report.benchmark == name
                                 && c.report.machine == mname
                                 && c.report.method == method
-                                && c.report.tuned_on == ds_name(*ds)
+                                && c.report.tuned_on == ds.name()
                         })
                         .map(|c| format!("{:+7.1}%", c.report.improvement_pct))
                         .unwrap_or_else(|| "      —".into())
@@ -199,7 +199,7 @@ fn print_tuning_times(cells: &[Figure7Cell], kind: MachineKind, datasets: &[Data
                             c.report.benchmark == name
                                 && c.report.machine == mname
                                 && c.report.method == method
-                                && c.report.tuned_on == ds_name(*ds)
+                                && c.report.tuned_on == ds.name()
                         })
                         .and_then(|c| c.tuning_time_vs_whl)
                         .map(|t| format!("{t:7.3}"))
@@ -260,15 +260,8 @@ fn is_suggested(c: &Figure7Cell) -> bool {
     )
 }
 
-fn ds_name(ds: Dataset) -> &'static str {
-    match ds {
-        Dataset::Train => "train",
-        Dataset::Ref => "ref",
-    }
-}
-
 fn datasets_header(datasets: &[Dataset]) -> String {
-    datasets.iter().map(|d| format!("{:>8}", ds_name(*d))).collect::<Vec<_>>().join("  ")
+    datasets.iter().map(|d| format!("{:>8}", d.name())).collect::<Vec<_>>().join("  ")
 }
 
 fn arg_value(args: &[String], flag: &str) -> Option<String> {

@@ -41,7 +41,7 @@ impl ToJson for Figure7Cell {
 /// (including over-budget CBR — MGRID_CBR is plotted to show the
 /// pathology), plus the AVG and WHL baselines.
 pub fn figure7_method_list(workload: &dyn Workload, spec: &MachineSpec) -> Vec<Method> {
-    let c = peak_core::consult(workload, spec);
+    let c = peak_core::consult_shared(workload, spec);
     let mut ms = Vec::new();
     if c.cbr.is_some() {
         ms.push(Method::Cbr);
@@ -74,16 +74,12 @@ pub fn figure7_cell_pooled(
     let workload = peak_workloads::workload_by_name(name).expect("known workload");
     let spec = MachineSpec::of(kind);
     let tracer = if tracer.enabled() {
-        let ds = match tuned_on {
-            Dataset::Train => "train",
-            Dataset::Ref => "ref",
-        };
         tracer.with_context(vec![
             ("benchmark".to_owned(), Json::Str(name.to_owned())),
             ("ts".to_owned(), Json::Str(workload.ts_name().to_owned())),
             ("machine".to_owned(), Json::Str(spec.kind.name().to_owned())),
             ("method".to_owned(), Json::Str(method.name().to_owned())),
-            ("tuned_on".to_owned(), Json::Str(ds.to_owned())),
+            ("tuned_on".to_owned(), Json::Str(tuned_on.name().to_owned())),
         ])
     } else {
         tracer

@@ -5,14 +5,25 @@
 //! through execution with different window sizes `w`. The rating error is
 //! `X_i = V_i/V̄ − 1` for CBR/MBR and `X_i = V_i − 1` for RBR (the ideal
 //! RBR rating of a version against itself is exactly 1) — paper Eq. 7-10.
+//!
+//! The samples come from the tuner's own protocols, so a change to a
+//! rating method shows up in Table 1: RBR rows take the improved-RBR
+//! sample of [`crate::rating`] with base = candidate = -O3, and MBR rows
+//! measure rows with `MbrModel::measure_row` and fit each window with
+//! the rating's outlier-trimmed `mbr::fit_trimmed`. Only the sampling
+//! schedule is Table 1's own: uniform over whole runs with fixed seeds,
+//! no window closing early, no faults.
 
-use crate::consultant::{consult_shared, Method};
+use crate::consultant::{consult_shared, Consultation, Method};
 use crate::harness::RunHarness;
+use crate::mbr::fit_trimmed;
+use crate::rating::rbr_improved_sample;
 use crate::stats;
-use crate::version_cache::{VersionCache, VersionKey};
-use peak_obs::{event, Tracer};
+use crate::version_cache::VersionCache;
+use peak_ir::Value;
+use peak_obs::{event, span, Tracer};
 use peak_opt::OptConfig;
-use peak_sim::{ExecOptions, MachineSpec, SimMetrics};
+use peak_sim::{ExecOptions, MachineSpec};
 use peak_util::{Json, ToJson};
 use peak_workloads::{Dataset, Workload};
 
@@ -72,77 +83,104 @@ pub fn consistency_rows_traced(
 ) -> Vec<ConsistencyRow> {
     let consultation = consult_shared(workload, spec);
     let method = consultation.order[0];
-    let _span = if tracer.enabled() {
-        Some(tracer.span(
-            "table1.collect",
-            vec![
-                ("benchmark".to_owned(), Json::Str(workload.name().to_owned())),
-                ("ts".to_owned(), Json::Str(workload.ts_name().to_owned())),
-                ("method".to_owned(), Json::Str(method.name().to_owned())),
-            ],
-        ))
-    } else {
-        None
-    };
+    let _span = span!(
+        tracer,
+        "table1.collect",
+        benchmark = workload.name(),
+        ts = workload.ts_name(),
+        method = method.name(),
+    );
     let rows = match method {
         Method::Cbr => cbr_rows(workload, spec, &consultation, tracer),
         Method::Mbr => vec![mbr_row(workload, spec, &consultation, tracer)],
         _ => vec![rbr_row(workload, spec, &consultation, tracer)],
     };
-    if tracer.enabled() {
-        for row in &rows {
-            tracer.emit(
-                "table1.row",
-                vec![
-                    ("benchmark".to_owned(), Json::Str(row.benchmark.clone())),
-                    ("ts".to_owned(), Json::Str(row.ts.clone())),
-                    ("method".to_owned(), Json::Str(row.method.name().to_owned())),
-                    ("context".to_owned(), Json::U(row.context as u64)),
-                    ("invocations".to_owned(), Json::U(row.invocations as u64)),
-                    ("cells".to_owned(), row.cells.to_json()),
-                ],
-            );
-        }
+    for row in &rows {
+        event!(
+            tracer,
+            "table1.row",
+            benchmark = row.benchmark.as_str(),
+            ts = row.ts.as_str(),
+            method = row.method.name(),
+            context = row.context as u64,
+            invocations = row.invocations as u64,
+            cells = row.cells.to_json(),
+        );
     }
     rows
 }
 
-/// Per-run simulator provenance for the Table 1 collectors (the tuning
-/// paths get the equivalent event from `TuningSetup::absorb_run`).
-fn emit_run(tracer: &Tracer, run: usize, seed: u64, h: &RunHarness<'_>) {
-    if !tracer.enabled() {
-        return;
+/// The run loop of the Table 1 collectors: start runs (seeds
+/// `seed + 1`, `seed + 2`, …) until `full(state)` or [`MAX_RUNS`],
+/// handing every invocation to `sample` until it returns `false` (end
+/// of this run), and emit each run's `sim.run` event. Returns the number
+/// of runs.
+fn collect<S>(
+    workload: &dyn Workload,
+    spec: &MachineSpec,
+    tracer: &Tracer,
+    mut seed: u64,
+    state: &mut S,
+    full: impl Fn(&S) -> bool,
+    mut sample: impl FnMut(&mut S, &mut RunHarness<'_>, &[Value]) -> bool,
+) -> usize {
+    let mut runs = 0;
+    while !full(state) && runs < MAX_RUNS {
+        runs += 1;
+        seed += 1;
+        let mut h = RunHarness::new(workload, Dataset::Train, spec, seed);
+        while let Some(args) = h.next_args() {
+            if !sample(state, &mut h, &args) {
+                break;
+            }
+        }
+        h.emit_run_event(tracer, runs as u64, seed);
     }
-    let mut fields = vec![
-        ("run".to_owned(), Json::U(run as u64)),
-        ("seed".to_owned(), Json::U(seed)),
-    ];
-    if let Json::Obj(pairs) = SimMetrics::snapshot(&h.machine).to_json() {
-        fields.extend(pairs);
-    }
-    tracer.emit("sim.run", fields);
+    runs
 }
 
-fn chunked_stats(samples: &[f64], w: usize, relative: bool) -> (f64, f64) {
-    // V_i per window of w samples.
-    let vs: Vec<f64> = samples
-        .chunks_exact(w)
-        .map(|c| stats::robust_summary(c).mean)
-        .collect();
-    let vbar = if relative {
-        vs.iter().sum::<f64>() / vs.len().max(1) as f64
-    } else {
-        1.0
-    };
-    let xs: Vec<f64> = vs.iter().map(|v| v / vbar - 1.0).collect();
-    let s = stats::summarize(&xs);
-    (s.mean * 100.0, s.std_dev() * 100.0)
+/// One Table 1 row: per window size `w`, the mean and σ (×100) of the
+/// rating errors of the `V_i` that `vs(w)` yields, taken relative to
+/// their mean (`V_i/V̄ − 1`) or, for RBR, to 1 (`V_i − 1`).
+fn row(
+    workload: &dyn Workload,
+    method: Method,
+    context: usize,
+    vs: impl Fn(usize) -> Vec<f64>,
+    relative: bool,
+) -> ConsistencyRow {
+    ConsistencyRow {
+        benchmark: workload.name().to_string(),
+        ts: workload.ts_name().to_string(),
+        method,
+        context,
+        invocations: workload.invocations(Dataset::Train),
+        cells: WINDOW_SIZES
+            .iter()
+            .map(|&w| {
+                let vs = vs(w);
+                let vbar = if relative {
+                    vs.iter().sum::<f64>() / vs.len().max(1) as f64
+                } else {
+                    1.0
+                };
+                let xs: Vec<f64> = vs.iter().map(|v| v / vbar - 1.0).collect();
+                let s = stats::summarize(&xs);
+                (w, s.mean * 100.0, s.std_dev() * 100.0)
+            })
+            .collect(),
+    }
+}
+
+/// `V_i` per window of `w` samples: their robust mean.
+fn window_means(samples: &[f64], w: usize) -> Vec<f64> {
+    samples.chunks_exact(w).map(|c| stats::robust_summary(c).mean).collect()
 }
 
 fn cbr_rows(
     workload: &dyn Workload,
     spec: &MachineSpec,
-    consultation: &crate::consultant::Consultation,
+    consultation: &Consultation,
     tracer: &Tracer,
 ) -> Vec<ConsistencyRow> {
     let plan = consultation.cbr.as_ref().expect("CBR row needs plan");
@@ -150,45 +188,36 @@ fn cbr_rows(
     let opts = ExecOptions::default();
     let n_ctx = plan.contexts.len();
     let mut per_ctx: Vec<Vec<f64>> = vec![Vec::new(); n_ctx];
-    let mut seed = 100;
-    let mut runs = 0;
-    while per_ctx.iter().any(|s| s.len() < RAW_SAMPLES) && runs < MAX_RUNS {
-        runs += 1;
-        seed += 1;
-        let mut h = RunHarness::new(workload, Dataset::Train, spec, seed);
-        while let Some(args) = h.next_args() {
-            let key = h.context_key(&plan.sources, &args);
+    let runs = collect(
+        workload,
+        spec,
+        tracer,
+        100,
+        &mut per_ctx,
+        |per_ctx| per_ctx.iter().all(|s| s.len() >= RAW_SAMPLES),
+        |per_ctx, h, args| {
+            let key = h.context_key(&plan.sources, args);
             let reduced = crate::context::reduce_key(&key, &plan.varying);
             let ctx = plan.contexts.iter().position(|(k, _)| *k == reduced);
-            let (measured, _) = h.execute_timed(&pv, &args, &opts);
-            if let Some(c) = ctx {
-                if per_ctx[c].len() < RAW_SAMPLES {
-                    per_ctx[c].push(measured as f64);
-                }
+            let (measured, _) = h.execute_timed(&pv, args, &opts);
+            if let Some(s) = ctx.map(|c| &mut per_ctx[c]).filter(|s| s.len() < RAW_SAMPLES) {
+                s.push(measured as f64);
             }
-        }
-        emit_run(tracer, runs, seed, &h);
-    }
-    if tracer.enabled() {
-        let kept: Vec<u64> = per_ctx.iter().map(|s| s.len() as u64).collect();
-        event!(tracer, "cbr.contexts_sampled", kept = kept.to_json(), runs = runs as u64);
-    }
+            true
+        },
+    );
+    event!(
+        tracer,
+        "cbr.contexts_sampled",
+        kept = per_ctx.iter().map(|s| s.len() as u64).collect::<Vec<_>>().to_json(),
+        runs = runs as u64,
+    );
     per_ctx
-        .into_iter()
+        .iter()
         .enumerate()
-        .map(|(c, samples)| ConsistencyRow {
-            benchmark: workload.name().to_string(),
-            ts: workload.ts_name().to_string(),
-            method: Method::Cbr,
-            context: if n_ctx > 1 { c + 1 } else { 0 },
-            invocations: workload.invocations(Dataset::Train),
-            cells: WINDOW_SIZES
-                .iter()
-                .map(|&w| {
-                    let (m, s) = chunked_stats(&samples, w, true);
-                    (w, m, s)
-                })
-                .collect(),
+        .map(|(c, samples)| {
+            let context = if n_ctx > 1 { c + 1 } else { 0 };
+            row(workload, Method::Cbr, context, |w| window_means(samples, w), true)
         })
         .collect()
 }
@@ -196,130 +225,67 @@ fn cbr_rows(
 fn mbr_row(
     workload: &dyn Workload,
     spec: &MachineSpec,
-    consultation: &crate::consultant::Consultation,
+    consultation: &Consultation,
     tracer: &Tracer,
 ) -> ConsistencyRow {
-    let model = consultation.mbr.as_ref().expect("MBR row needs model").clone();
-    let pv = VersionCache::global().get_or_prepare(
-        VersionKey::instrumented(workload, OptConfig::o3(), spec.kind),
+    let model = consultation.mbr.as_ref().expect("MBR row needs model");
+    let pv = model.prepare(workload, spec, OptConfig::o3());
+    let mut rows: (Vec<f64>, Vec<Vec<f64>>) = (Vec::new(), Vec::new());
+    collect(
+        workload,
         spec,
-        || crate::compile::compile_validated(&model.instrumented, model.ts, &OptConfig::o3()),
+        tracer,
+        200,
+        &mut rows,
+        |(times, _)| times.len() >= RAW_SAMPLES,
+        |(times, counts), h, args| {
+            let row = model.measure_row(h, &pv, args).ok().flatten();
+            let (t, row) = row.expect("fault-free run keeps every reading");
+            times.push(t);
+            counts.push(row);
+            true
+        },
     );
-    let opts = ExecOptions { record_writes: false, num_counters: model.num_counters };
-    let mut times: Vec<f64> = Vec::new();
-    let mut counts: Vec<Vec<f64>> = Vec::new();
-    let mut seed = 200;
-    let mut runs = 0;
-    while times.len() < RAW_SAMPLES && runs < MAX_RUNS {
-        runs += 1;
-        seed += 1;
-        let mut h = RunHarness::new(workload, Dataset::Train, spec, seed);
-        while let Some(args) = h.next_args() {
-            let (measured, res) = h.execute_timed(&pv, &args, &opts);
-            times.push(measured as f64);
-            counts.push(model.count_row(&args, &res.counters));
-        }
-        emit_run(tracer, runs, seed, &h);
-    }
+    let (times, counts) = rows;
     // V_i per window: regression over each chunk, EVAL from the model.
-    let cells = WINDOW_SIZES
-        .iter()
-        .map(|&w| {
-            let vs: Vec<f64> = times
-                .chunks_exact(w)
-                .zip(counts.chunks_exact(w))
-                .filter_map(|(t, c)| {
-                    let kept = stats::trim_outliers(t, stats::OUTLIER_K);
-                    let keep: std::collections::HashSet<u64> =
-                        kept.iter().map(|x| x.to_bits()).collect();
-                    let mut ft = Vec::new();
-                    let mut fc = Vec::new();
-                    for (x, row) in t.iter().zip(c) {
-                        if keep.contains(&x.to_bits()) {
-                            ft.push(*x);
-                            fc.push(row.clone());
-                        }
-                    }
-                    crate::linreg::solve(&ft, &fc).map(|reg| model.eval_of(&reg))
-                })
-                .collect();
-            let vbar = vs.iter().sum::<f64>() / vs.len().max(1) as f64;
-            let xs: Vec<f64> = vs.iter().map(|v| v / vbar - 1.0).collect();
-            let s = stats::summarize(&xs);
-            (w, s.mean * 100.0, s.std_dev() * 100.0)
-        })
-        .collect();
-    ConsistencyRow {
-        benchmark: workload.name().to_string(),
-        ts: workload.ts_name().to_string(),
-        method: Method::Mbr,
-        context: 0,
-        invocations: workload.invocations(Dataset::Train),
-        cells,
-    }
+    let fits = |w| {
+        times
+            .chunks_exact(w)
+            .zip(counts.chunks_exact(w))
+            .filter_map(|(t, c)| fit_trimmed(t, c).map(|reg| model.eval_of(&reg)))
+            .collect()
+    };
+    row(workload, Method::Mbr, 0, fits, true)
 }
 
 fn rbr_row(
     workload: &dyn Workload,
     spec: &MachineSpec,
-    consultation: &crate::consultant::Consultation,
+    consultation: &Consultation,
     tracer: &Tracer,
 ) -> ConsistencyRow {
-    let plan = &consultation.rbr;
+    // The tuner's improved protocol, experimental version = base version.
     let pv = VersionCache::global().prepare_workload(workload, spec, OptConfig::o3());
-    let opts_plain = ExecOptions::default();
-    let opts_record = ExecOptions { record_writes: true, num_counters: 0 };
     let mut samples: Vec<f64> = Vec::new();
-    let mut seed = 300;
-    let mut runs = 0;
     let mut flip = false;
-    while samples.len() < RAW_SAMPLES && runs < MAX_RUNS {
-        runs += 1;
-        seed += 1;
-        let mut h = RunHarness::new(workload, Dataset::Train, spec, seed);
-        while let Some(args) = h.next_args() {
+    collect(
+        workload,
+        spec,
+        tracer,
+        300,
+        &mut samples,
+        |samples| samples.len() >= RAW_SAMPLES,
+        |samples, h, args| {
             if samples.len() >= RAW_SAMPLES {
-                break;
+                return false;
             }
-            // Improved protocol, experimental version = base version.
-            let r = if plan.inspector {
-                let res = h.execute(&pv, &args, &opts_record);
-                let cells: Vec<(peak_ir::MemId, i64)> =
-                    res.writes.iter().map(|(m, i, _)| (*m, *i)).collect();
-                let vals: Vec<peak_ir::Value> = res.writes.iter().map(|(_, _, v)| *v).collect();
-                h.restore_cells(&cells, &vals);
-                let (t1, _) = h.execute_timed(&pv, &args, &opts_plain);
-                h.restore_cells(&cells, &vals);
-                let (t2, _) = h.execute_timed(&pv, &args, &opts_plain);
-                if flip { t2 as f64 / t1.max(1) as f64 } else { t1 as f64 / t2.max(1) as f64 }
-            } else {
-                let snap = h.save_regions(&plan.modified_regions);
-                let _ = h.execute(&pv, &args, &opts_plain);
-                h.restore_regions(&snap);
-                let (t1, _) = h.execute_timed(&pv, &args, &opts_plain);
-                h.restore_regions(&snap);
-                let (t2, _) = h.execute_timed(&pv, &args, &opts_plain);
-                if flip { t2 as f64 / t1.max(1) as f64 } else { t1 as f64 / t2.max(1) as f64 }
-            };
+            let r = rbr_improved_sample(h, &consultation.rbr, &pv, &pv, args, flip).ok().flatten();
             flip = !flip;
-            samples.push(r);
-        }
-        emit_run(tracer, runs, seed, &h);
-    }
-    ConsistencyRow {
-        benchmark: workload.name().to_string(),
-        ts: workload.ts_name().to_string(),
-        method: Method::Rbr,
-        context: 0,
-        invocations: workload.invocations(Dataset::Train),
-        cells: WINDOW_SIZES
-            .iter()
-            .map(|&w| {
-                let (m, s) = chunked_stats(&samples, w, false);
-                (w, m, s)
-            })
-            .collect(),
-    }
+            samples.push(r.expect("fault-free run keeps every reading"));
+            true
+        },
+    );
+    row(workload, Method::Rbr, 0, |w| window_means(&samples, w), false)
 }
 
 #[cfg(test)]

@@ -171,24 +171,19 @@ pub fn consult(workload: &dyn Workload, spec: &peak_sim::MachineSpec) -> Consult
     // --- RBR plan (always applicable; our TSs avoid side-effecting
     // library calls by construction, §2.4.1). ---
     let effects = mem_effects(prog, ts);
-    let modified = effects.modified_input();
     // Restoring must undo every write; writes to regions the TS never
     // reads still change program state, so the save set is the write set
     // (which contains read∩written). The paper's Modified_Input is the
     // part that affects *re-execution fidelity*; we save all written
     // regions for state correctness and report the Eq. 6 set separately.
     let save_set = effects.writes.clone();
-    let modified_elems: usize = {
-        let mem = MemoryImage::new(prog);
-        mem.region_elems(&save_set)
-    };
+    let modified_elems = MemoryImage::new(prog).region_elems(&save_set);
     let rbr = RbrPlan {
         modified_regions: save_set,
         input_regions: effects.reads.clone(),
         modified_elems,
         inspector: modified_elems > INSPECTOR_THRESHOLD_ELEMS,
     };
-    let _ = modified;
     // --- CBR: Figure-1 analysis + context profile. ---
     let mut cbr = None;
     if let ContextAnalysis::Applicable(sources) = context_set(prog.func(ts)) {
@@ -196,25 +191,19 @@ pub fn consult(workload: &dyn Workload, spec: &peak_sim::MachineSpec) -> Consult
         let mut mem = MemoryImage::new(prog);
         let mut rng = StdRng::seed_from_u64(0x7472_6169_6e00);
         workload.setup(Dataset::Train, &mut mem, &mut rng);
-        let mut profile = ContextProfile::new(sources.len());
         let n = PROFILE_INVOCATIONS.min(workload.invocations(Dataset::Train));
-        for inv in 0..n {
-            let args = workload.args(Dataset::Train, inv, &mut mem, &mut rng);
-            profile.record(crate::context::key_for(&sources, &args, &mem));
-        }
+        let keys: Vec<ContextKey> = (0..n)
+            .map(|inv| {
+                let args = workload.args(Dataset::Train, inv, &mut mem, &mut rng);
+                crate::context::key_for(&sources, &args, &mem)
+            })
+            .collect();
+        let mut profile = ContextProfile::new(sources.len());
+        keys.iter().for_each(|k| profile.record(k.clone()));
         let varying = profile.varying_sources();
         // Reduce keys to varying sources and histogram them.
         let mut reduced = ContextProfile::new(varying.len());
-        {
-            let mut mem = MemoryImage::new(prog);
-            let mut rng = StdRng::seed_from_u64(0x7472_6169_6e00);
-            workload.setup(Dataset::Train, &mut mem, &mut rng);
-            for inv in 0..n {
-                let args = workload.args(Dataset::Train, inv, &mut mem, &mut rng);
-                let key = crate::context::key_for(&sources, &args, &mem);
-                reduced.record(crate::context::reduce_key(&key, &varying));
-            }
-        }
+        keys.iter().for_each(|k| reduced.record(crate::context::reduce_key(k, &varying)));
         let contexts = reduced.context_histogram();
         let within_budget = contexts.len() <= MAX_CBR_CONTEXTS
             && contexts.first().is_some_and(|(_, c)| *c >= MIN_CONTEXT_HITS.min(n / 4));
@@ -223,15 +212,10 @@ pub fn consult(workload: &dyn Workload, spec: &peak_sim::MachineSpec) -> Consult
         }
     }
     // --- MBR: component discovery + timing-fit quality. ---
-    let mut mbr_model = mbr::discover(workload);
-    if let Some(model) = &mut mbr_model {
-        // Timing profile on the simulator with the instrumented -O3
-        // version: does the linear model explain the time?
-        let quality_ok = profile_mbr_quality(workload, spec, model);
-        if !quality_ok {
-            mbr_model = None;
-        }
-    }
+    // The timing profile on the simulator (instrumented -O3 version)
+    // decides whether the linear model explains the time.
+    let mbr_model = mbr::discover(workload)
+        .and_then(|mut model| profile_mbr_quality(workload, spec, &mut model).then_some(model));
     // --- Order: CBR → MBR → RBR (increasing overhead, §3). ---
     let mut order = Vec::new();
     if cbr.as_ref().is_some_and(|p| p.within_budget) {
@@ -251,40 +235,19 @@ fn profile_mbr_quality(
     spec: &peak_sim::MachineSpec,
     model: &mut MbrModel,
 ) -> bool {
-    use crate::harness::RunHarness;
-    use crate::version_cache::{VersionCache, VersionKey};
-    let cfg = peak_opt::OptConfig::o3();
-    let pv = VersionCache::global().get_or_prepare(
-        VersionKey::instrumented(workload, cfg, spec.kind),
-        spec,
-        || crate::compile::compile_validated(&model.instrumented, model.ts, &cfg),
-    );
-    let mut h = RunHarness::new(workload, Dataset::Train, spec, 0xbeef);
-    let opts = peak_sim::ExecOptions { record_writes: false, num_counters: model.num_counters };
+    let pv = model.prepare(workload, spec, peak_opt::OptConfig::o3());
+    let mut h = crate::harness::RunHarness::new(workload, Dataset::Train, spec, 0xbeef);
     let mut times = Vec::new();
     let mut counts = Vec::new();
     let n = PROFILE_INVOCATIONS.min(workload.invocations(Dataset::Train));
     for _ in 0..n {
         let Some(args) = h.next_args() else { break };
-        let (measured, res) = h.execute_timed(&pv, &args, &opts);
-        times.push(measured as f64);
-        counts.push(model.count_row(&args, &res.counters));
+        let (t, row) =
+            model.measure_row(&mut h, &pv, &args).ok().flatten().expect("fault-free profile run");
+        times.push(t);
+        counts.push(row);
     }
-    // Trim outlier rows jointly (by time) before fitting.
-    let kept = crate::stats::trim_outliers(&times, crate::stats::OUTLIER_K);
-    let keep_set: std::collections::HashSet<u64> = kept.iter().map(|t| t.to_bits()).collect();
-    let mut ft = Vec::new();
-    let mut fc = Vec::new();
-    for (t, c) in times.iter().zip(&counts) {
-        if keep_set.contains(&t.to_bits()) {
-            ft.push(*t);
-            fc.push(c.clone());
-        }
-    }
-    match model.fit_profile_times(&ft, &fc) {
-        Some(reg) => reg.var <= MAX_MBR_PROFILE_VAR,
-        None => false,
-    }
+    model.fit_profile_times(&times, &counts).is_some_and(|reg| reg.var <= MAX_MBR_PROFILE_VAR)
 }
 
 #[cfg(test)]

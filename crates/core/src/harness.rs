@@ -13,8 +13,9 @@ use peak_ir::{MemoryImage, Value};
 use peak_obs::Tracer;
 use peak_sim::{
     AddressMap, ExecError, ExecOptions, ExecResult, ExecScratch, ExecTier, FaultPlan, MachineSpec,
-    MachineState, PreparedVersion,
+    MachineState, PreparedVersion, SimMetrics,
 };
+use peak_util::{Json, ToJson};
 use peak_workloads::{Dataset, Workload};
 use rand::rngs::StdRng;
 use rand::SeedableRng;
@@ -345,19 +346,9 @@ impl<'w> RunHarness<'w> {
         }
     }
 
-    /// RBR inspector support: save/restore an explicit cell list (paper
-    /// §2.4.2's inspector for irregular writes).
-    pub fn save_cells(&mut self, cells: &[(peak_ir::MemId, i64)]) -> Vec<Value> {
-        let mut vals = Vec::with_capacity(cells.len());
-        for &(m, i) in cells {
-            vals.push(self.mem.load(m, i));
-            let c = self.machine.caches.access(self.amap.addr(m, i));
-            self.machine.cycles += c + COPY_OVERHEAD_PER_ELEM;
-        }
-        vals
-    }
-
-    /// Restore cells saved with [`RunHarness::save_cells`].
+    /// RBR inspector support: restore an explicit cell list, e.g. the
+    /// undo log a recording execution left (paper §2.4.2's inspector for
+    /// irregular writes).
     pub fn restore_cells(&mut self, cells: &[(peak_ir::MemId, i64)], vals: &[Value]) {
         for (&(m, i), &v) in cells.iter().zip(vals) {
             self.mem.store(m, i, v);
@@ -380,6 +371,25 @@ impl<'w> RunHarness<'w> {
     /// The workload under test.
     pub fn workload(&self) -> &dyn Workload {
         self.workload
+    }
+
+    /// Emit this run's `sim.run` event through `tracer`: the run number,
+    /// its seed, the machine counters and, under a fault plan, the fault
+    /// stats (measurement provenance: the seed replays the exact fault
+    /// stream).
+    pub(crate) fn emit_run_event(&self, tracer: &Tracer, run: u64, seed: u64) {
+        if !tracer.enabled() {
+            return;
+        }
+        let mut fields = vec![("run".to_owned(), Json::U(run)), ("seed".to_owned(), Json::U(seed))];
+        if let Json::Obj(pairs) = SimMetrics::snapshot(&self.machine).to_json() {
+            fields.extend(pairs);
+        }
+        if let Some(plan) = &self.machine.faults {
+            fields.push(("faults".to_owned(), plan.stats.to_json()));
+            fields.push(("executions".to_owned(), Json::U(plan.executions())));
+        }
+        tracer.emit("sim.run", fields);
     }
 }
 

@@ -121,14 +121,7 @@ impl ToJson for TuningJobSpec {
             ("benchmark", self.benchmark.to_json()),
             ("machine", self.machine.to_json()),
             ("method", self.method.map(|m| m.name().to_owned()).to_json()),
-            (
-                "dataset",
-                match self.dataset {
-                    Dataset::Train => "train",
-                    Dataset::Ref => "ref",
-                }
-                .to_json(),
-            ),
+            ("dataset", self.dataset.name().to_json()),
             ("start_bits", self.start_bits.to_json()),
             ("strategy", self.strategy.clone().to_json()),
         ])

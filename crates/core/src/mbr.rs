@@ -7,13 +7,18 @@
 //! expressions when the structure is regular, otherwise from inserted
 //! counters whose cycle cost the simulator charges.
 
+use crate::harness::RunHarness;
 use crate::linreg;
+use crate::version_cache::{VersionCache, VersionKey};
 use peak_ir::{
     BlockId, Cfg, CountExpr, CountSource, FuncId, Interp, MemoryImage, Program, Value,
 };
+use peak_opt::OptConfig;
+use peak_sim::{ExecError, ExecOptions, MachineSpec, PreparedVersion};
 use peak_workloads::{Dataset, Workload};
 use rand::rngs::StdRng;
 use rand::SeedableRng;
+use std::sync::Arc;
 
 /// Where one component's count comes from at rating time.
 #[derive(Debug, Clone)]
@@ -180,14 +185,15 @@ impl MbrModel {
             .collect()
     }
 
-    /// Fit the model on profile timings: fills `dominant` and
-    /// `profile_var`, returning the regression if it succeeded.
+    /// Fit the model on profile timings (outlier rows trimmed, as in
+    /// [`fit_trimmed`]): fills `dominant` and `profile_var`, returning
+    /// the regression if it succeeded.
     pub fn fit_profile_times(
         &mut self,
         times: &[f64],
         counts: &[Vec<f64>],
     ) -> Option<linreg::Regression> {
-        let reg = linreg::solve(times, counts)?;
+        let reg = fit_trimmed(times, counts)?;
         self.profile_var = reg.var;
         // Dominant component by time share at average counts.
         let shares: Vec<f64> = reg
@@ -220,6 +226,50 @@ impl MbrModel {
     pub fn num_components(&self) -> usize {
         self.comps.len()
     }
+
+    /// The instrumented TS compiled under `cfg` for `spec`, shared
+    /// process-wide through the [`VersionCache`].
+    pub(crate) fn prepare(
+        &self,
+        workload: &dyn Workload,
+        spec: &MachineSpec,
+        cfg: OptConfig,
+    ) -> Arc<PreparedVersion> {
+        VersionCache::global().get_or_prepare(
+            VersionKey::instrumented(workload, cfg, spec.kind),
+            spec,
+            || crate::compile::compile_validated(&self.instrumented, self.ts, &cfg),
+        )
+    }
+
+    /// One MBR measurement: time the instrumented version `pv` on `args`
+    /// and return the row (measured time, component counts), or
+    /// `Ok(None)` when the reading was lost to injected dropout.
+    pub(crate) fn measure_row(
+        &self,
+        h: &mut RunHarness<'_>,
+        pv: &PreparedVersion,
+        args: &[Value],
+    ) -> Result<Option<(f64, Vec<f64>)>, ExecError> {
+        let opts = ExecOptions { record_writes: false, num_counters: self.num_counters };
+        let (measured, res) = h.try_execute_timed(pv, args, &opts)?;
+        Ok(measured.map(|t| (t as f64, self.count_row(args, &res.counters))))
+    }
+}
+
+/// The MBR fit: drop the rows whose time is an outlier (the
+/// [`trim_outliers`](crate::stats::trim_outliers) test on `times`), then
+/// regress time on component counts. Rating, the Table 1 collector and
+/// the consultant's quality profile all fit through here.
+pub(crate) fn fit_trimmed(times: &[f64], counts: &[Vec<f64>]) -> Option<linreg::Regression> {
+    let keep = crate::stats::outlier_test(times, crate::stats::OUTLIER_K);
+    let (t, c): (Vec<f64>, Vec<Vec<f64>>) = times
+        .iter()
+        .zip(counts)
+        .filter(|(x, _)| keep(**x))
+        .map(|(x, row)| (*x, row.clone()))
+        .unzip();
+    linreg::solve(&t, &c)
 }
 
 #[cfg(test)]

@@ -5,6 +5,15 @@
 //! All methods report *relative improvement over the base version*
 //! (`> 1` = candidate faster), so the search can compare candidates
 //! uniformly regardless of how the rating was obtained.
+//!
+//! CBR/AVG, MBR and RBR sample per invocation and share one run loop
+//! (`drive`): it owns the run cap, run starts, invocation accounting,
+//! dropout and crash counting, and the end-of-run done check; a method
+//! supplies only its per-invocation step (which version to run, how to
+//! time it, where the reading goes). WHL times whole runs, one per
+//! version, so it has no step and keeps its own loop. The per-invocation
+//! protocols are the ones the Table 1 collector ([`crate::consistency`])
+//! and the consultant's MBR quality profile measure with.
 
 use crate::consultant::{Consultation, Method};
 use crate::harness::RunHarness;
@@ -12,11 +21,10 @@ use crate::job::CancelToken;
 use crate::sched::Pool;
 use crate::stats::Window;
 use crate::version_cache::{VersionCache, VersionKey};
-use peak_obs::{event, Tracer};
+use peak_ir::Value;
+use peak_obs::{event, fields, span, Tracer};
 use peak_opt::{CompiledVersion, OptConfig};
-use peak_sim::{
-    ExecError, ExecOptions, FaultConfig, FaultPlan, MachineSpec, PreparedVersion, SimMetrics,
-};
+use peak_sim::{ExecError, ExecOptions, FaultConfig, FaultPlan, MachineSpec, PreparedVersion};
 use peak_util::{Json, ToJson};
 use peak_workloads::{Dataset, Workload};
 use std::sync::Arc;
@@ -211,6 +219,16 @@ impl<'w> TuningSetup<'w> {
         VersionCache::global().get_or_prepare(key, &self.spec, compile)
     }
 
+    /// `base` then every candidate, compiled through [`TuningSetup::version`].
+    fn versions(
+        &mut self,
+        base: OptConfig,
+        candidates: &[OptConfig],
+        instrumented: bool,
+    ) -> Vec<Arc<PreparedVersion>> {
+        std::iter::once(&base).chain(candidates).map(|c| self.version(*c, instrumented)).collect()
+    }
+
     /// The [`VersionCache`] key and compile thunk for `cfg`, compiled from
     /// the workload's TS or (`instrumented`) the MBR-instrumented TS.
     fn version_request(
@@ -254,26 +272,11 @@ impl<'w> TuningSetup<'w> {
     }
 
     /// Account a finished (or abandoned) run's cycles; when a tracer is
-    /// installed, emits a `sim.run` event with the run's machine
-    /// counters and fault stats (measurement provenance: this run's
-    /// seed links the samples to the exact replayable fault stream).
+    /// installed, emits the run's `sim.run` event
+    /// ([`RunHarness::emit_run_event`]).
     pub fn absorb_run(&mut self, h: &RunHarness<'_>) {
         self.tuning_cycles += h.cycles();
-        if self.tracer.enabled() {
-            let m = SimMetrics::snapshot(&h.machine);
-            let mut fields = vec![
-                ("run".to_owned(), Json::U(self.runs_used as u64)),
-                ("seed".to_owned(), Json::U(self.next_seed)),
-            ];
-            if let Json::Obj(pairs) = m.to_json() {
-                fields.extend(pairs);
-            }
-            if let Some(plan) = &h.machine.faults {
-                fields.push(("faults".to_owned(), plan.stats.to_json()));
-                fields.push(("executions".to_owned(), Json::U(plan.executions())));
-            }
-            self.tracer.emit("sim.run", fields);
-        }
+        h.emit_run_event(&self.tracer, self.runs_used as u64, self.next_seed);
     }
 }
 
@@ -367,19 +370,14 @@ pub fn rate_with(
 ) -> Option<RateOutcome> {
     crate::metrics::core_metrics().rating_calls.inc();
     let tracer = setup.tracer.clone();
-    let _span = if tracer.enabled() {
-        Some(tracer.span(
-            "rating",
-            vec![
-                ("method".to_owned(), Json::Str(method.name().to_owned())),
-                ("base".to_owned(), Json::U(base.bits())),
-                ("candidates".to_owned(), Json::U(candidates.len() as u64)),
-                ("window_scale".to_owned(), Json::F(opts.window_scale)),
-            ],
-        ))
-    } else {
-        None
-    };
+    let _span = span!(
+        tracer,
+        "rating",
+        method = method.name(),
+        base = base.bits(),
+        candidates = candidates.len() as u64,
+        window_scale = opts.window_scale,
+    );
     // Self-profiling baselines: runs/invocations/cycles before the call
     // give the method's exclusive measurement cost; wall-clock only when
     // the tracer opted in (it breaks trace byte-identity).
@@ -399,33 +397,145 @@ pub fn rate_with(
     if tracer.enabled() {
         match &out {
             Some(o) => {
-                let mut fields = vec![
-                    ("method".to_owned(), Json::Str(o.method.name().to_owned())),
-                    ("improvements".to_owned(), o.improvements.to_json()),
-                    ("vars".to_owned(), o.vars.to_json()),
-                    ("unconverged".to_owned(), Json::U(o.unconverged as u64)),
-                    ("samples".to_owned(), Json::U(o.samples as u64)),
-                    ("trimmed".to_owned(), Json::U(o.trimmed as u64)),
-                    ("dropouts".to_owned(), Json::U(o.dropouts)),
-                    ("crashes".to_owned(), Json::U(o.crashes)),
-                    ("runs".to_owned(), Json::U((setup.runs_used - runs0) as u64)),
-                    (
-                        "invocations".to_owned(),
-                        Json::U(setup.invocations_used - inv0),
-                    ),
-                    ("cycles".to_owned(), Json::U(setup.tuning_cycles - cyc0)),
-                ];
+                let mut fields = fields!(
+                    method = o.method.name(),
+                    improvements = o.improvements.to_json(),
+                    vars = o.vars.to_json(),
+                    unconverged = o.unconverged as u64,
+                    samples = o.samples as u64,
+                    trimmed = o.trimmed as u64,
+                    dropouts = o.dropouts,
+                    crashes = o.crashes,
+                    runs = (setup.runs_used - runs0) as u64,
+                    invocations = setup.invocations_used - inv0,
+                    cycles = setup.tuning_cycles - cyc0,
+                );
                 if let (Some(w0), Some(w1)) = (wall0, tracer.wall_ns()) {
                     fields.push(("wall_ns".to_owned(), Json::U(w1.saturating_sub(w0))));
                 }
                 tracer.emit("rating.outcome", fields);
             }
-            None => {
-                event!(tracer, "rating.inapplicable", method = method.name());
-            }
+            None => event!(tracer, "rating.inapplicable", method = method.name()),
         }
     }
     out
+}
+
+/// What one invocation did for a rating (the step contract of [`drive`]).
+enum Step {
+    /// The invocation ran; the method may have taken a sample.
+    Ran,
+    /// The invocation ran, but its reading was lost to injected dropout.
+    Dropout,
+    /// No version needs another sample: the rating is over.
+    Finished,
+}
+
+/// The run/invocation loop of every per-invocation rating method. It
+/// starts at most [`MAX_RUNS_PER_RATING`] runs, counts each invocation
+/// into `invocations_used`, and hands it to `step`, which samples
+/// `state`. An injected crash abandons the run (counted in `crashes`);
+/// any other [`ExecError`] panics. Each run's cycles are absorbed when it
+/// ends, and the rating stops early once `done(state)` holds after a run
+/// or `step` reports [`Step::Finished`]. Returns `(dropouts, crashes)`.
+fn drive<'w, S>(
+    setup: &mut TuningSetup<'w>,
+    state: &mut S,
+    mut step: impl FnMut(&mut S, &mut RunHarness<'w>, &[Value]) -> Result<Step, ExecError>,
+    done: impl Fn(&S) -> bool,
+) -> (u64, u64) {
+    let (mut dropouts, mut crashes) = (0, 0);
+    for _ in 0..MAX_RUNS_PER_RATING {
+        let mut h = setup.new_run();
+        while let Some(args) = h.next_args() {
+            setup.invocations_used += 1;
+            match step(state, &mut h, &args) {
+                Ok(Step::Ran) => {}
+                Ok(Step::Dropout) => dropouts += 1,
+                Ok(Step::Finished) => {
+                    setup.absorb_run(&h);
+                    return (dropouts, crashes);
+                }
+                Err(ExecError::InjectedCrash { .. }) => {
+                    crashes += 1;
+                    break; // abandon the run: the process died
+                }
+                Err(e) => panic!("workload {} failed: {e}", setup.workload.name()),
+            }
+        }
+        setup.absorb_run(&h);
+        if done(state) {
+            break;
+        }
+    }
+    (dropouts, crashes)
+}
+
+/// The least-sampled window that is neither converged nor exhausted.
+fn open_window(windows: &[Window]) -> Option<usize> {
+    windows
+        .iter()
+        .enumerate()
+        .filter(|(_, w)| !w.converged() && !w.exhausted())
+        .min_by_key(|(_, w)| w.len())
+        .map(|(i, _)| i)
+}
+
+/// `n` windows with `bounds` = (min, max, CV threshold), the maximum
+/// scaled by the supervisor's widening.
+fn new_windows(n: usize, (min, max, thr): (usize, usize, f64), ropts: &RateOptions) -> Vec<Window> {
+    let max = scaled(max, ropts.window_scale);
+    (0..n).map(|_| Window::with(min, max, thr)).collect()
+}
+
+/// Whether every window is converged or exhausted.
+fn windows_closed(windows: &[Window]) -> bool {
+    windows.iter().all(|w| w.converged() || w.exhausted())
+}
+
+/// Push a reading into `w`; a lost reading is a dropout.
+fn record(w: &mut Window, reading: Option<f64>) -> Step {
+    reading.map_or(Step::Dropout, |x| {
+        w.push(x);
+        Step::Ran
+    })
+}
+
+/// The outcome of a window method (CBR/AVG/RBR). Emits `window.state`,
+/// then rates the candidate windows `windows[first..]` by
+/// `improvement(mean)`; an empty window rates 1.0.
+fn window_outcome(
+    tracer: &Tracer,
+    method: Method,
+    windows: &[Window],
+    first: usize,
+    improvement: impl Fn(f64) -> f64,
+    (dropouts, crashes): (u64, u64),
+) -> RateOutcome {
+    event!(
+        tracer,
+        "window.state",
+        method = method.name().to_ascii_lowercase(),
+        lens = windows.iter().map(|w| w.len() as u64).collect::<Vec<_>>().to_json(),
+        cvs = windows.iter().map(Window::mean_cv).collect::<Vec<_>>().to_json(),
+    );
+    let rated = &windows[first..];
+    RateOutcome {
+        improvements: rated
+            .iter()
+            .map(|w| match w.summary() {
+                s if s.n == 0 => 1.0,
+                s => improvement(s.mean),
+            })
+            .collect(),
+        vars: rated.iter().map(Window::mean_cv).collect(),
+        unconverged: windows.iter().filter(|w| !w.converged()).count(),
+        method,
+        samples: windows.iter().map(Window::len).sum(),
+        trimmed: windows.iter().map(Window::rejected).sum(),
+        dropouts,
+        crashes,
+    }
 }
 
 /// CBR (and, with `use_context = false`, the AVG baseline): average the
@@ -438,121 +548,76 @@ fn rate_cbr(
     use_context: bool,
     ropts: &RateOptions,
 ) -> RateOutcome {
-    let (sources, varying, important) = if use_context {
-        let plan = setup.consult.cbr.as_ref().expect("CBR plan");
-        (plan.sources.clone(), plan.varying.clone(), plan.important_context().clone())
-    } else {
-        (Vec::new(), Vec::new(), crate::context::ContextKey(Vec::new()))
-    };
-    let (wmin, wmax, thr) = if use_context { CBR_WINDOW } else { AVG_WINDOW };
-    let wmax = scaled(wmax, ropts.window_scale);
+    let consult = setup.consult.clone();
+    let plan = use_context.then(|| consult.cbr.as_ref().expect("CBR plan"));
     // Window per version: index 0 = base.
-    let mut all: Vec<OptConfig> = vec![base];
-    all.extend_from_slice(candidates);
-    let mut windows: Vec<Window> = (0..all.len()).map(|_| Window::with(wmin, wmax, thr)).collect();
-    let versions: Vec<Arc<PreparedVersion>> =
-        all.iter().map(|c| setup.version(*c, false)).collect();
+    let versions = setup.versions(base, candidates, false);
+    let bounds = if use_context { CBR_WINDOW } else { AVG_WINDOW };
+    let mut windows = new_windows(versions.len(), bounds, ropts);
     let opts = ExecOptions::default();
-    let mut dropouts = 0u64;
-    let mut crashes = 0u64;
-    let mut ctx_matches = 0u64;
-    let mut ctx_misses = 0u64;
-    'runs: for _ in 0..MAX_RUNS_PER_RATING {
-        let mut h = setup.new_run();
-        while let Some(args) = h.next_args() {
-            setup.invocations_used += 1;
-            let matches = if use_context {
-                let key = h.context_key(&sources, &args);
-                let m = crate::context::reduce_key(&key, &varying) == important;
-                if m {
+    let (mut ctx_matches, mut ctx_misses) = (0u64, 0u64);
+    let counts = drive(
+        setup,
+        &mut windows,
+        |windows, h, args| {
+            if let Some(plan) = plan {
+                let key = h.context_key(&plan.sources, args);
+                if crate::context::reduce_key(&key, &plan.varying) == *plan.important_context() {
                     ctx_matches += 1;
                 } else {
+                    // Off-context invocation: run the base version to keep
+                    // the program advancing; its timing is not comparable.
                     ctx_misses += 1;
+                    h.try_execute(&versions[0], args, &opts)?;
+                    return Ok(Step::Ran);
                 }
-                m
-            } else {
-                true
-            };
-            if !matches {
-                // Off-context invocation: run the base version to keep the
-                // program advancing; its timing is not comparable.
-                match h.try_execute(&versions[0], &args, &opts) {
-                    Ok(_) => {}
-                    Err(ExecError::InjectedCrash { .. }) => {
-                        crashes += 1;
-                        break; // abandon the run: the process died
-                    }
-                    Err(e) => panic!("workload {} failed: {e}", setup.workload.name()),
-                }
-                continue;
             }
-            // Pick the least-sampled unconverged window.
-            let pick = windows
-                .iter()
-                .enumerate()
-                .filter(|(_, w)| !w.converged() && !w.exhausted())
-                .min_by_key(|(_, w)| w.len())
-                .map(|(i, _)| i);
-            let Some(i) = pick else {
-                setup.absorb_run(&h);
-                break 'runs;
-            };
-            match h.try_execute_timed(&versions[i], &args, &opts) {
-                Ok((Some(measured), _)) => windows[i].push(measured as f64),
-                Ok((None, _)) => dropouts += 1,
-                Err(ExecError::InjectedCrash { .. }) => {
-                    crashes += 1;
-                    break;
-                }
-                Err(e) => panic!("workload {} failed: {e}", setup.workload.name()),
-            }
-        }
-        setup.absorb_run(&h);
-        if windows.iter().all(|w| w.converged() || w.exhausted()) {
-            break;
-        }
-    }
+            let Some(i) = open_window(windows) else { return Ok(Step::Finished) };
+            let (measured, _) = h.try_execute_timed(&versions[i], args, &opts)?;
+            Ok(record(&mut windows[i], measured.map(|t| t as f64)))
+        },
+        |windows| windows_closed(windows),
+    );
     if use_context {
-        let t = setup.tracer.clone();
-        event!(t, "cbr.context", matches = ctx_matches, misses = ctx_misses);
-    }
-    if setup.tracer.enabled() {
-        let lens: Vec<u64> = windows.iter().map(|w| w.len() as u64).collect();
-        let cvs: Vec<f64> = windows.iter().map(Window::mean_cv).collect();
-        let t = setup.tracer.clone();
-        event!(
-            t,
-            "window.state",
-            method = if use_context { "cbr" } else { "avg" },
-            lens = lens.to_json(),
-            cvs = cvs.to_json(),
-        );
+        event!(setup.tracer, "cbr.context", matches = ctx_matches, misses = ctx_misses);
     }
     let base_eval = windows[0].summary().mean.max(1.0);
-    let improvements = windows[1..]
-        .iter()
-        .map(|w| {
-            let s = w.summary();
-            if s.n == 0 {
-                1.0
-            } else {
-                base_eval / s.mean.max(1.0)
-            }
-        })
-        .collect();
-    let vars = windows[1..].iter().map(|w| w.mean_cv()).collect();
-    let unconverged = windows.iter().filter(|w| !w.converged()).count();
-    let samples = windows.iter().map(|w| w.len()).sum();
-    let trimmed = windows.iter().map(|w| w.rejected()).sum();
-    RateOutcome {
-        improvements,
-        vars,
-        unconverged,
-        method: if use_context { Method::Cbr } else { Method::Avg },
-        samples,
-        trimmed,
-        dropouts,
-        crashes,
+    let method = if use_context { Method::Cbr } else { Method::Avg };
+    window_outcome(&setup.tracer, method, &windows, 1, |mean| base_eval / mean.max(1.0), counts)
+}
+
+/// One version's MBR rows and its current fit `(eval, var)`.
+#[derive(Default)]
+struct MbrFit {
+    times: Vec<f64>,
+    counts: Vec<Vec<f64>>,
+    eval: Option<(f64, f64)>,
+}
+
+impl MbrFit {
+    /// The fit's regression variance; infinite before the first fit.
+    fn var(&self) -> f64 {
+        self.eval.map_or(f64::INFINITY, |(_, v)| v)
+    }
+
+    /// Whether the version still takes rows: variance above
+    /// [`MBR_VAR_OK`] and fewer than `max_rows` rows.
+    fn open(&self, max_rows: usize) -> bool {
+        self.var() > MBR_VAR_OK && self.times.len() < max_rows
+    }
+
+    /// Whether the version is done: variance at most [`MBR_VAR_OK`] or
+    /// `max_rows` rows. Not `!open`: a NaN variance is neither.
+    fn done(&self, max_rows: usize) -> bool {
+        self.var() <= MBR_VAR_OK || self.times.len() >= max_rows
+    }
+
+    /// Refit on the rows so far (outliers trimmed); keeps the old fit
+    /// when the regression fails.
+    fn refit(&mut self, model: &crate::mbr::MbrModel) {
+        if let Some(reg) = crate::mbr::fit_trimmed(&self.times, &self.counts) {
+            self.eval = Some((model.eval_of(&reg), reg.var));
+        }
     }
 }
 
@@ -563,141 +628,75 @@ fn rate_mbr(
     candidates: &[OptConfig],
     ropts: &RateOptions,
 ) -> RateOutcome {
-    let model = setup.consult.mbr.as_ref().expect("MBR model").clone();
+    let consult = setup.consult.clone();
+    let model = consult.mbr.as_ref().expect("MBR model");
     let max_rows = scaled(MBR_MAX_ROWS, ropts.window_scale);
-    let mut all: Vec<OptConfig> = vec![base];
-    all.extend_from_slice(candidates);
-    let versions: Vec<Arc<PreparedVersion>> =
-        all.iter().map(|c| setup.version(*c, true)).collect();
-    let opts = ExecOptions { record_writes: false, num_counters: model.num_counters };
-    let mut times: Vec<Vec<f64>> = vec![Vec::new(); all.len()];
-    let mut counts: Vec<Vec<Vec<f64>>> = vec![Vec::new(); all.len()];
-    let mut evals: Vec<Option<(f64, f64)>> = vec![None; all.len()]; // (eval, var)
+    let versions = setup.versions(base, candidates, true);
+    let mut fits: Vec<MbrFit> = versions.iter().map(|_| MbrFit::default()).collect();
     let min_rows = MBR_MIN_ROWS.max(2 * model.num_components());
-    let mut dropouts = 0u64;
-    let mut crashes = 0u64;
     // Version assignment is randomized, not round-robin: a fixed stride
     // phase-locks with periodic context streams (MGRID's V-cycle), giving
     // different versions systematically different context mixes and
     // biasing the fits against each other.
     let mut pick_rng: u64 = 0x9E3779B97F4A7C15;
-    'runs: for _ in 0..MAX_RUNS_PER_RATING {
-        let mut h = setup.new_run();
-        while let Some(args) = h.next_args() {
-            setup.invocations_used += 1;
+    let counts = drive(
+        setup,
+        &mut fits,
+        |fits, h, args| {
             pick_rng ^= pick_rng << 13;
             pick_rng ^= pick_rng >> 7;
             pick_rng ^= pick_rng << 17;
-            let eligible: Vec<usize> = (0..all.len())
-                .filter(|&i| {
-                    evals[i].is_none_or(|(_, var)| var > MBR_VAR_OK)
-                        && times[i].len() < max_rows
-                })
-                .collect();
-            let pick = if eligible.is_empty() {
-                None
-            } else {
-                Some(eligible[(pick_rng % eligible.len() as u64) as usize])
-            };
-            let Some(i) = pick else {
-                setup.absorb_run(&h);
-                break 'runs;
-            };
-            match h.try_execute_timed(&versions[i], &args, &opts) {
-                Ok((Some(measured), res)) => {
-                    times[i].push(measured as f64);
-                    counts[i].push(model.count_row(&args, &res.counters));
-                }
-                Ok((None, _)) => {
-                    dropouts += 1;
-                    continue;
-                }
-                Err(ExecError::InjectedCrash { .. }) => {
-                    crashes += 1;
-                    break;
-                }
-                Err(e) => panic!("workload {} failed: {e}", setup.workload.name()),
+            let eligible = fits.iter().filter(|f| f.open(max_rows)).count();
+            if eligible == 0 {
+                return Ok(Step::Finished);
             }
-            if times[i].len() >= min_rows && times[i].len().is_multiple_of(8) {
-                if let Some((t, c)) = trimmed_rows(&times[i], &counts[i]) {
-                    if let Some(reg) = crate::linreg::solve(&t, &c) {
-                        evals[i] = Some((model.eval_of(&reg), reg.var));
-                    }
-                }
+            let nth = (pick_rng % eligible as u64) as usize;
+            let i = (0..fits.len()).filter(|&i| fits[i].open(max_rows)).nth(nth).expect("eligible");
+            let Some((t, row)) = model.measure_row(h, &versions[i], args)? else {
+                return Ok(Step::Dropout);
+            };
+            let fit = &mut fits[i];
+            fit.times.push(t);
+            fit.counts.push(row);
+            if fit.times.len() >= min_rows && fit.times.len().is_multiple_of(8) {
+                fit.refit(model);
             }
-        }
-        setup.absorb_run(&h);
-        if (0..all.len())
-            .all(|i| evals[i].is_some_and(|(_, v)| v <= MBR_VAR_OK) || times[i].len() >= max_rows)
-        {
-            break;
-        }
-    }
+            Ok(Step::Ran)
+        },
+        |fits| fits.iter().all(|f| f.done(max_rows)),
+    );
     // Final fits for stragglers.
-    for i in 0..all.len() {
-        if evals[i].is_none() {
-            if let Some((t, c)) = trimmed_rows(&times[i], &counts[i]) {
-                if let Some(reg) = crate::linreg::solve(&t, &c) {
-                    evals[i] = Some((model.eval_of(&reg), reg.var));
-                }
-            }
-        }
+    for fit in fits.iter_mut().filter(|f| f.eval.is_none()) {
+        fit.refit(model);
     }
-    if setup.tracer.enabled() {
-        let rows: Vec<u64> = times.iter().map(|t| t.len() as u64).collect();
-        let res_vars: Vec<f64> =
-            evals.iter().map(|e| e.map(|(_, v)| v).unwrap_or(f64::INFINITY)).collect();
-        let fitted: Vec<bool> = evals.iter().map(Option::is_some).collect();
-        let t = setup.tracer.clone();
-        event!(
-            t,
-            "mbr.fit",
-            rows = rows.to_json(),
-            residual_vars = res_vars.to_json(),
-            fitted = fitted.to_json(),
-            min_rows = min_rows as u64,
-        );
-    }
-    let base_eval = evals[0].map(|(e, _)| e).unwrap_or(1.0).max(1e-9);
-    let improvements = evals[1..]
-        .iter()
-        .map(|e| e.map(|(v, _)| base_eval / v.max(1e-9)).unwrap_or(1.0))
-        .collect();
-    let vars = evals[1..].iter().map(|e| e.map(|(_, v)| v).unwrap_or(f64::INFINITY)).collect();
-    let unconverged = evals.iter().filter(|e| e.is_none_or(|(_, v)| v > MBR_VAR_OK)).count();
-    let samples = times.iter().map(|t| t.len()).sum();
-    let trimmed = times
-        .iter()
-        .map(|t| t.len() - crate::stats::trim_outliers(t, crate::stats::OUTLIER_K).len())
-        .sum();
+    event!(
+        setup.tracer,
+        "mbr.fit",
+        rows = fits.iter().map(|f| f.times.len() as u64).collect::<Vec<_>>().to_json(),
+        residual_vars = fits.iter().map(MbrFit::var).collect::<Vec<_>>().to_json(),
+        fitted = fits.iter().map(|f| f.eval.is_some()).collect::<Vec<_>>().to_json(),
+        min_rows = min_rows as u64,
+    );
+    let base_eval = fits[0].eval.map(|(e, _)| e).unwrap_or(1.0).max(1e-9);
+    let rated = &fits[1..];
     RateOutcome {
-        improvements,
-        vars,
-        unconverged,
+        improvements: rated
+            .iter()
+            .map(|f| f.eval.map(|(v, _)| base_eval / v.max(1e-9)).unwrap_or(1.0))
+            .collect(),
+        vars: rated.iter().map(MbrFit::var).collect(),
+        unconverged: fits.iter().filter(|f| f.var() > MBR_VAR_OK).count(),
         method: Method::Mbr,
-        samples,
-        trimmed,
-        dropouts,
-        crashes,
+        samples: fits.iter().map(|f| f.times.len()).sum(),
+        trimmed: fits
+            .iter()
+            .map(|f| {
+                f.times.len() - crate::stats::trim_outliers(&f.times, crate::stats::OUTLIER_K).len()
+            })
+            .sum(),
+        dropouts: counts.0,
+        crashes: counts.1,
     }
-}
-
-/// Remove time-outlier rows jointly from (times, counts).
-fn trimmed_rows(times: &[f64], counts: &[Vec<f64>]) -> Option<(Vec<f64>, Vec<Vec<f64>>)> {
-    if times.is_empty() {
-        return None;
-    }
-    let kept = crate::stats::trim_outliers(times, crate::stats::OUTLIER_K);
-    let keep: std::collections::HashSet<u64> = kept.iter().map(|t| t.to_bits()).collect();
-    let mut t = Vec::new();
-    let mut c = Vec::new();
-    for (x, row) in times.iter().zip(counts) {
-        if keep.contains(&x.to_bits()) {
-            t.push(*x);
-            c.push(row.clone());
-        }
-    }
-    Some((t, c))
 }
 
 /// RBR with the improved protocol (paper Fig. 4): per invocation, save
@@ -711,126 +710,68 @@ fn rate_rbr(
     improved: bool,
     ropts: &RateOptions,
 ) -> RateOutcome {
-    let plan = setup.consult.rbr.clone();
-    let base_v = setup.version(base, false);
-    let cand_vs: Vec<Arc<PreparedVersion>> =
-        candidates.iter().map(|c| setup.version(*c, false)).collect();
-    let (wmin, wmax, thr) = RBR_WINDOW;
-    let wmax = scaled(wmax, ropts.window_scale);
-    let mut windows: Vec<Window> =
-        (0..candidates.len()).map(|_| Window::with(wmin, wmax, thr)).collect();
+    let consult = setup.consult.clone();
+    let plan = &consult.rbr;
+    let versions = setup.versions(base, candidates, false);
+    let (base_v, cand_vs) = versions.split_first().expect("base version");
+    let mut windows = new_windows(cand_vs.len(), RBR_WINDOW, ropts);
     let mut flip = false;
-    let opts_plain = ExecOptions::default();
-    let opts_record = ExecOptions { record_writes: true, num_counters: 0 };
-    let mut dropouts = 0u64;
-    let mut crashes = 0u64;
-    'runs: for _ in 0..MAX_RUNS_PER_RATING {
-        let mut h = setup.new_run();
-        while let Some(args) = h.next_args() {
-            setup.invocations_used += 1;
-            let pick = windows
-                .iter()
-                .enumerate()
-                .filter(|(_, w)| !w.converged() && !w.exhausted())
-                .min_by_key(|(_, w)| w.len())
-                .map(|(i, _)| i);
-            let Some(i) = pick else {
-                setup.absorb_run(&h);
-                break 'runs;
-            };
-            let r = if improved {
-                rbr_improved_sample(&mut h, &plan, &base_v, &cand_vs[i], &args, flip, &opts_plain, &opts_record)
+    let counts = drive(
+        setup,
+        &mut windows,
+        |windows, h, args| {
+            let Some(i) = open_window(windows) else { return Ok(Step::Finished) };
+            let sample = if improved {
+                rbr_improved_sample(h, plan, base_v, &cand_vs[i], args, flip)
             } else {
-                rbr_basic_sample(&mut h, &plan, &base_v, &cand_vs[i], &args, &opts_plain)
+                rbr_basic_sample(h, plan, base_v, &cand_vs[i], args)
             };
             flip = !flip;
-            match r {
-                Ok(Some(sample)) => windows[i].push(sample),
-                Ok(None) => dropouts += 1,
-                Err(ExecError::InjectedCrash { .. }) => {
-                    crashes += 1;
-                    break;
-                }
-                Err(e) => panic!("workload {} failed: {e}", setup.workload.name()),
-            }
-        }
-        setup.absorb_run(&h);
-        if windows.iter().all(|w| w.converged() || w.exhausted()) {
-            break;
-        }
-    }
-    if setup.tracer.enabled() {
-        let lens: Vec<u64> = windows.iter().map(|w| w.len() as u64).collect();
-        let cvs: Vec<f64> = windows.iter().map(|w| w.mean_cv()).collect();
-        let t = setup.tracer.clone();
-        event!(t, "window.state", method = "rbr", lens = lens.to_json(), cvs = cvs.to_json());
-    }
-    let improvements = windows
-        .iter()
-        .map(|w| {
-            let s = w.summary();
-            if s.n == 0 {
-                1.0
-            } else {
-                s.mean
-            }
-        })
-        .collect();
-    let vars = windows.iter().map(|w| w.mean_cv()).collect();
-    let unconverged = windows.iter().filter(|w| !w.converged()).count();
-    let samples = windows.iter().map(|w| w.len()).sum();
-    let trimmed = windows.iter().map(|w| w.rejected()).sum();
-    RateOutcome {
-        improvements,
-        vars,
-        unconverged,
-        method: Method::Rbr,
-        samples,
-        trimmed,
-        dropouts,
-        crashes,
-    }
+            Ok(record(&mut windows[i], sample?))
+        },
+        |windows| windows_closed(windows),
+    );
+    window_outcome(&setup.tracer, Method::Rbr, &windows, 0, |mean| mean, counts)
 }
 
 /// One improved-RBR sample: returns `R = T_base / T_candidate`, or
 /// `Ok(None)` when either timing was lost to injected dropout (the
-/// executions still ran, so program state stays consistent).
-#[allow(clippy::too_many_arguments)]
-fn rbr_improved_sample(
+/// executions still ran, so program state stays consistent). The Table 1
+/// RBR collector calls this with `base` = `cand` = -O3.
+pub(crate) fn rbr_improved_sample(
     h: &mut RunHarness<'_>,
     plan: &crate::consultant::RbrPlan,
     base: &PreparedVersion,
     cand: &PreparedVersion,
-    args: &[peak_ir::Value],
+    args: &[Value],
     flip: bool,
-    opts_plain: &ExecOptions,
-    opts_record: &ExecOptions,
 ) -> Result<Option<f64>, ExecError> {
+    let opts_plain = ExecOptions::default();
     // 1-4: save the modified input, run the precondition pass (warming the
     // cache), restore.
     let undo: UndoState = if plan.inspector {
         // Inspector: the precondition itself records the undo log.
-        let res = h.try_execute(base, args, opts_record)?;
-        let cells: Vec<(peak_ir::MemId, i64)> =
-            res.writes.iter().map(|(m, i, _)| (*m, *i)).collect();
-        let vals: Vec<peak_ir::Value> = res.writes.iter().map(|(_, _, v)| *v).collect();
+        let opts_record = ExecOptions { record_writes: true, num_counters: 0 };
+        let res = h.try_execute(base, args, &opts_record)?;
+        let (cells, vals): (Vec<_>, Vec<_>) =
+            res.writes.iter().map(|&(m, i, v)| ((m, i), v)).unzip();
         // Charge the log maintenance like a save pass.
         h.restore_cells(&cells, &vals);
         UndoState::Cells(cells, vals)
     } else {
         let snap = h.save_regions(&plan.modified_regions);
-        let _ = h.try_execute(base, args, opts_plain)?; // precondition pass
+        let _ = h.try_execute(base, args, &opts_plain)?; // precondition pass
         h.restore_regions(&snap);
         UndoState::Regions(snap)
     };
     // 5-7: time the two versions under the same context, order alternating.
     let (first, second) = if flip { (cand, base) } else { (base, cand) };
-    let (t_first, _) = h.try_execute_timed(first, args, opts_plain)?;
+    let (t_first, _) = h.try_execute_timed(first, args, &opts_plain)?;
     match &undo {
         UndoState::Cells(cells, vals) => h.restore_cells(cells, vals),
         UndoState::Regions(snap) => h.restore_regions(snap),
     }
-    let (t_second, _) = h.try_execute_timed(second, args, opts_plain)?;
+    let (t_second, _) = h.try_execute_timed(second, args, &opts_plain)?;
     // Leave the second execution's (correct) results in memory.
     let (Some(t_first), Some(t_second)) = (t_first, t_second) else {
         return Ok(None);
@@ -847,9 +788,9 @@ fn rbr_basic_sample(
     plan: &crate::consultant::RbrPlan,
     base: &PreparedVersion,
     cand: &PreparedVersion,
-    args: &[peak_ir::Value],
-    opts: &ExecOptions,
+    args: &[Value],
 ) -> Result<Option<f64>, ExecError> {
+    let opts = ExecOptions::default();
     // Basic method saves the whole (written) input set.
     let mut save: Vec<peak_ir::MemId> = plan.modified_regions.clone();
     for m in &plan.input_regions {
@@ -858,9 +799,9 @@ fn rbr_basic_sample(
         }
     }
     let snap = h.save_regions(&save);
-    let (t_base, _) = h.try_execute_timed(base, args, opts)?;
+    let (t_base, _) = h.try_execute_timed(base, args, &opts)?;
     h.restore_regions(&snap);
-    let (t_cand, _) = h.try_execute_timed(cand, args, opts)?;
+    let (t_cand, _) = h.try_execute_timed(cand, args, &opts)?;
     let (Some(t_base), Some(t_cand)) = (t_base, t_cand) else {
         return Ok(None);
     };
@@ -868,7 +809,7 @@ fn rbr_basic_sample(
 }
 
 enum UndoState {
-    Cells(Vec<(peak_ir::MemId, i64)>, Vec<peak_ir::Value>),
+    Cells(Vec<(peak_ir::MemId, i64)>, Vec<Value>),
     Regions(Vec<(peak_ir::MemId, peak_ir::Buffer)>),
 }
 

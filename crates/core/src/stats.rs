@@ -52,19 +52,24 @@ pub fn summarize(xs: &[f64]) -> Summary {
 /// (median absolute deviation is robust against the very outliers being
 /// removed, unlike a mean/σ filter). Returns the retained samples.
 pub fn trim_outliers(xs: &[f64], k: f64) -> Vec<f64> {
-    if xs.len() < 4 {
-        return xs.to_vec();
-    }
-    let mut sorted = xs.to_vec();
-    sorted.sort_by(|a, b| a.total_cmp(b));
-    let median = sorted[sorted.len() / 2];
-    let mut devs: Vec<f64> = xs.iter().map(|x| (x - median).abs()).collect();
-    devs.sort_by(|a, b| a.total_cmp(b));
-    let mad = devs[devs.len() / 2].max(median.abs() * 1e-6).max(f64::EPSILON);
-    xs.iter()
-        .copied()
-        .filter(|x| (x - median).abs() <= k * mad)
-        .collect()
+    let keep = outlier_test(xs, k);
+    xs.iter().copied().filter(|&x| keep(x)).collect()
+}
+
+/// The keep test behind [`trim_outliers`], for filtering rows that carry
+/// a sample alongside other data (MBR's count rows). Fewer than four
+/// samples keep everything.
+pub(crate) fn outlier_test(xs: &[f64], k: f64) -> impl Fn(f64) -> bool {
+    let bound = (xs.len() >= 4).then(|| {
+        let mut sorted = xs.to_vec();
+        sorted.sort_by(|a, b| a.total_cmp(b));
+        let median = sorted[sorted.len() / 2];
+        let mut devs: Vec<f64> = xs.iter().map(|x| (x - median).abs()).collect();
+        devs.sort_by(|a, b| a.total_cmp(b));
+        let mad = devs[devs.len() / 2].max(median.abs() * 1e-6).max(f64::EPSILON);
+        (median, mad)
+    });
+    move |x| bound.is_none_or(|(median, mad)| (x - median).abs() <= k * mad)
 }
 
 /// Default MAD multiplier (≈ 5σ for Gaussian data).

@@ -405,17 +405,15 @@ impl SearchStrategy for IterativeElimination {
             let improvements = &fo.out.improvements;
             let removed = best.filter(|&i| improvements[i] >= MIN_GAIN);
             let tracer = rater.tracer();
-            if tracer.enabled() {
-                event!(
-                    tracer,
-                    "search.round",
-                    round = round as u64,
-                    method = fo.method.name(),
-                    best_improvement = best.map_or(1.0, |i| improvements[i]),
-                    removed_flag = removed.map(|i| flags[i].name()),
-                    switches = rater.switches() as u64,
-                );
-            }
+            event!(
+                tracer,
+                "search.round",
+                round = round as u64,
+                method = fo.method.name(),
+                best_improvement = best.map_or(1.0, |i| improvements[i]),
+                removed_flag = removed.map(|i| flags[i].name()),
+                switches = rater.switches() as u64,
+            );
             let Some(i) = removed else { break };
             base = candidates[i];
             if fo.truncated {

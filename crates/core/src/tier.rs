@@ -12,9 +12,8 @@
 //! adds to `core.jit.blocks_compiled` (handles in `crate::metrics`).
 
 use crate::metrics::core_metrics;
-use peak_obs::Tracer;
+use peak_obs::{event, Tracer};
 use peak_sim::{PreparedVersion, TierBackend};
-use peak_util::Json;
 use std::sync::Arc;
 
 /// The version's native backend, lowering it on first request (budget
@@ -34,12 +33,7 @@ pub fn jit_backend<'a>(
             }
             Err(reason) => {
                 core_metrics().jit_deopts.inc();
-                if tracer.enabled() {
-                    tracer.emit(
-                        "jit.deopt",
-                        vec![("reason".to_owned(), Json::Str(reason.to_string()))],
-                    );
-                }
+                event!(tracer, "jit.deopt", reason = reason.to_string());
                 None
             }
         }

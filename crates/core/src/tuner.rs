@@ -18,7 +18,7 @@ use crate::strategy::{
     StrategyKind,
 };
 use crate::version_cache::{VersionCache, VersionKey};
-use peak_obs::{event, Tracer};
+use peak_obs::{event, span, Tracer};
 use peak_opt::OptConfig;
 use peak_sim::{ExecOptions, FaultConfig, MachineSpec};
 use peak_util::{Json, ToJson};
@@ -214,10 +214,7 @@ pub fn tune_with_options(
         ts: workload.ts_name().to_string(),
         machine: spec.kind.name().to_string(),
         method,
-        tuned_on: match tuned_on {
-            Dataset::Train => "train".into(),
-            Dataset::Ref => "ref".into(),
-        },
+        tuned_on: tuned_on.name().into(),
         search,
         baseline_cycles,
         tuned_cycles,
@@ -309,7 +306,7 @@ impl<'w> Tuner<'w> {
         TunerCheckpoint {
             benchmark: self.setup.workload.name().to_string(),
             machine: self.setup.spec.kind.name().to_string(),
-            dataset: dataset_name(self.setup.ds).to_string(),
+            dataset: self.setup.ds.name().to_string(),
             method: self.method,
             last_method: self.last_method,
             base_bits: self.base.bits(),
@@ -351,16 +348,12 @@ impl<'w> Tuner<'w> {
         if cp.machine != spec.kind.name() {
             return Err(invalid("machine", spec.kind.name(), &cp.machine));
         }
-        let ds = match cp.dataset.as_str() {
-            "train" => Dataset::Train,
-            "ref" => Dataset::Ref,
-            other => {
-                return Err(std::io::Error::new(
-                    std::io::ErrorKind::InvalidData,
-                    format!("checkpoint has unknown dataset {other:?}"),
-                ))
-            }
-        };
+        let ds = Dataset::from_name(&cp.dataset).ok_or_else(|| {
+            std::io::Error::new(
+                std::io::ErrorKind::InvalidData,
+                format!("checkpoint has unknown dataset {:?}", cp.dataset),
+            )
+        })?;
         let mut tuner = Self::with_faults(workload, spec, cp.method, ds, cp.fault_config.clone());
         tuner.setup.restore_accounting(
             cp.next_seed,
@@ -392,18 +385,13 @@ impl<'w> Tuner<'w> {
             return false;
         }
         let tracer = self.setup.tracer().clone();
-        let _round_span = if tracer.enabled() {
-            Some(tracer.span(
-                "tuner.round",
-                vec![
-                    ("round".to_owned(), Json::U(self.round as u64)),
-                    ("base".to_owned(), Json::U(self.base.bits())),
-                    ("flags_enabled".to_owned(), Json::U(flags.len() as u64)),
-                ],
-            ))
-        } else {
-            None
-        };
+        let _round_span = span!(
+            tracer,
+            "tuner.round",
+            round = self.round as u64,
+            base = self.base.bits(),
+            flags_enabled = flags.len() as u64,
+        );
         let candidates: Vec<OptConfig> =
             flags.iter().map(|&f| self.base.without(f)).collect();
         // Pre-compile the frontier (pure; see `TuningSetup::warm_frontier`).
@@ -435,18 +423,15 @@ impl<'w> Tuner<'w> {
         if self.round >= crate::search::MAX_IE_ROUNDS {
             self.done = true;
         }
-        if tracer.enabled() {
-            let best = bestidx.map(|i| out.improvements[i]).unwrap_or(1.0);
-            event!(
-                tracer,
-                "tuner.step",
-                round = (self.round - 1) as u64,
-                method = used.name(),
-                best_improvement = best,
-                removed_flag = removed,
-                done = self.done,
-            );
-        }
+        event!(
+            tracer,
+            "tuner.step",
+            round = (self.round - 1) as u64,
+            method = used.name(),
+            best_improvement = bestidx.map(|i| out.improvements[i]).unwrap_or(1.0),
+            removed_flag = removed,
+            done = self.done,
+        );
         self.save_checkpoint();
         !self.done
     }
@@ -503,13 +488,6 @@ impl<'w> Tuner<'w> {
                 }
             }
         }
-    }
-}
-
-fn dataset_name(ds: Dataset) -> &'static str {
-    match ds {
-        Dataset::Train => "train",
-        Dataset::Ref => "ref",
     }
 }
 

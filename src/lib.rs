@@ -33,7 +33,7 @@ pub fn tune_benchmark(
     let workload = peak_workloads::workload_by_name(name)
         .unwrap_or_else(|| panic!("unknown benchmark {name}"));
     let spec = peak_sim::MachineSpec::of(machine);
-    let consultation = peak_core::consult(workload.as_ref(), &spec);
+    let consultation = peak_core::consult_shared(workload.as_ref(), &spec);
     peak_core::tune(
         workload.as_ref(),
         &spec,
