@@ -23,7 +23,8 @@
 //!   `exhaustive` with MBR under jitter bursts, where MBR stops
 //!   converging and ratings switch to RBR;
 //! * serial `iterative_elimination_from` from non-O3 starts on SWIM
-//!   (CBR), ART (RBR) and MGRID (AVG).
+//!   (CBR), ART (RBR) and MGRID (AVG), and serial `iterative_elimination`
+//!   from -O3 on ART × Pentium-IV (RBR), the paper's marquee cell.
 //!
 //! Regenerate the golden (only when a search result is meant to move)
 //! with:
@@ -35,8 +36,8 @@
 
 use peak_core::consultant::Method;
 use peak_core::{
-    exhaustive, iterative_elimination_from, search_with_strategy_spent, Pool, SearchResult,
-    StrategyKind, TuningSetup,
+    exhaustive, iterative_elimination, iterative_elimination_from, search_with_strategy_spent,
+    Pool, SearchResult, StrategyKind, TuningSetup,
 };
 use peak_opt::{Flag, OptConfig};
 use peak_sim::{FaultConfig, MachineSpec};
@@ -154,7 +155,7 @@ fn serial_ie_legs() -> Vec<Json> {
         Flag::PrefetchLoopArrays,
     ];
     let small = six.into_iter().fold(OptConfig::from_bits(0), |c, f| c.with(f, true));
-    [
+    let mut legs: Vec<Json> = [
         ("swim", MachineSpec::sparc_ii(), Method::Cbr, start),
         ("art", MachineSpec::pentium_iv(), Method::Rbr, start),
         ("mgrid", MachineSpec::sparc_ii(), Method::Avg, small),
@@ -166,7 +167,12 @@ fn serial_ie_legs() -> Vec<Json> {
         let (machine, method) = (spec.kind.name(), method.name());
         leg(&format!("{bench}/{machine}/{method}/serial-ie-from"), &r, None)
     })
-    .collect()
+    .collect();
+    let art = peak_workloads::workload_by_name("art").expect("known workload");
+    let p4 = MachineSpec::pentium_iv();
+    let r = iterative_elimination(&mut setup(art.as_ref(), &p4, None), Method::Rbr);
+    legs.push(leg("art/Pentium-IV/RBR/serial-ie", &r, None));
+    legs
 }
 
 /// Compare freshly computed legs against their golden entries (by name).
