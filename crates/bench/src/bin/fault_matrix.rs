@@ -1,6 +1,6 @@
 //! Fault-injection matrix: how rating accuracy degrades with fault
 //! intensity, per rating method, plus a crash+jitter scenario exercising
-//! the supervisor's degradation cascade end-to-end.
+//! the §3 cascade's fault handling end-to-end.
 //!
 //! ```text
 //! cargo run --release -p peak-bench --bin fault_matrix \
@@ -8,7 +8,7 @@
 //! ```
 //!
 //! `--trace PATH` writes a JSONL telemetry trace (rating outcomes, fault
-//! firings per run, supervisor degrades/retries) readable with the
+//! firings per run, cascade degrades) readable with the
 //! `peak-trace` binary. Sweep cells run in parallel on the shared job
 //! pool; each cell buffers its events locally and the buffers are
 //! spliced into the trace file in cell order (so the trace is identical
@@ -22,12 +22,12 @@
 //! (true improvement = 1.0) with every applicable method; the reported
 //! error `|EVAL_ratio − 1| × 100` is the rating-accuracy cost of the
 //! faults. The final section rates under a deterministic version-crash
-//! plus heavy jitter and shows the supervisor walking the
-//! CBR → MBR → RBR → WHL cascade instead of panicking.
+//! plus heavy jitter and shows the cascade walking down the method
+//! order to WHL instead of panicking.
 
 use peak_core::consultant::Method;
 use peak_core::rating::{rate, TuningSetup};
-use peak_core::RatingSupervisor;
+use peak_core::FrontierRater;
 use peak_obs::{event, JsonlSink, TraceSink, Tracer};
 use peak_opt::OptConfig;
 use peak_sim::{FaultConfig, MachineKind, MachineSpec};
@@ -209,8 +209,8 @@ fn main() {
 
     // Crash + jitter scenario: a deterministic version crash on the 6th
     // TS execution of every run plus intensity-1.0 jitter. Per-method
-    // rating survives (crashes are data, not panics); the supervisor
-    // degrades down the cascade and still produces a rating.
+    // rating survives (crashes are data, not panics); the cascade
+    // degrades down the method order and still produces a rating.
     println!();
     println!("Crash+jitter scenario (crash on 6th execution per run, intensity 1.0):");
     let mut crash_cfg: FaultConfig = spec.fault_profile(1.0, SCENARIO_SEED);
@@ -222,23 +222,18 @@ fn main() {
         event!(tracer, "matrix.crash_scenario", crash_at = 6u64, intensity = 1.0,);
     }
     let preferred = *consult.order.first().unwrap_or(&Method::Rbr);
-    let mut supervisor = RatingSupervisor::default();
-    let (out, used) = supervisor.rate(&mut setup, preferred, base, &[base]);
+    let mut rater = FrontierRater::serial(&mut setup, preferred);
+    let fo = rater.rate(base, &[base]).expect("unlimited budget affords one frontier");
+    let (out, used, events) = (fo.out, fo.method, rater.events());
     println!(
         "  preferred {} -> completed with {} (error {:.3}%, {} downgrades)",
         preferred.name(),
         used.name(),
         (out.improvements[0] - 1.0).abs() * 100.0,
-        supervisor.events().len()
+        events.len()
     );
-    for e in supervisor.events() {
-        println!(
-            "    degrade {} -> {}: {} (after {} retries)",
-            e.from.name(),
-            e.to.name(),
-            e.trigger.name(),
-            e.retries
-        );
+    for e in events {
+        println!("    degrade {} -> {}: {}", e.from.name(), e.to.name(), e.trigger.name());
     }
 
     if let Some(path) = json_path {
@@ -254,7 +249,7 @@ fn main() {
                     ("error_pct", ((out.improvements[0] - 1.0).abs() * 100.0).to_json()),
                     (
                         "events",
-                        Json::Arr(supervisor.events().iter().map(|e| e.to_json()).collect()),
+                        Json::Arr(events.iter().map(|e| e.to_json()).collect()),
                     ),
                 ]),
             ),

@@ -7,7 +7,7 @@
 //! ```text
 //! peak-trace summary  <trace.jsonl>       # aggregate view of a whole run
 //! peak-trace ts <id>  <trace.jsonl>       # events for one tuning section
-//! peak-trace degrades <trace.jsonl>       # supervisor retries/downgrades
+//! peak-trace degrades <trace.jsonl>       # §3 cascade downgrades
 //! peak-trace diff <a.jsonl> <b.jsonl>     # structural diff (wall_ns ignored)
 //! ```
 //!
@@ -75,10 +75,6 @@ fn f_str<'a>(e: &'a TraceEvent, name: &str) -> Option<&'a str> {
 
 fn f_u64(e: &TraceEvent, name: &str) -> Option<u64> {
     e.field(name).and_then(Json::as_u64)
-}
-
-fn f_f64(e: &TraceEvent, name: &str) -> Option<f64> {
-    e.field(name).and_then(Json::as_f64)
 }
 
 /// Attribute each event to a tuning section. Events stamped with a `ts`
@@ -239,12 +235,9 @@ fn summary(events: &[TraceEvent]) -> i32 {
     println!();
     print_sim_totals(events);
     let degrades = kinds.get("supervisor.degrade").copied().unwrap_or(0);
-    let retries = kinds.get("supervisor.retry").copied().unwrap_or(0);
-    if degrades + retries > 0 {
+    if degrades > 0 {
         println!();
-        println!(
-            "supervisor: {degrades} downgrades, {retries} retries (see `peak-trace degrades`)"
-        );
+        println!("supervisor: {degrades} downgrades (see `peak-trace degrades`)");
     }
     // Per-TS breakdown, when the trace carries attribution.
     let attribution = attribute_ts(events);
@@ -341,37 +334,19 @@ fn ts_view(id: &str, events: &[TraceEvent]) -> i32 {
 
 fn degrades(events: &[TraceEvent]) -> i32 {
     let mut any = false;
-    for e in events {
-        match e.kind.as_str() {
-            "supervisor.retry" => {
-                any = true;
-                println!(
-                    "retry    {} (rating {}, attempt {}, window x{}, unconverged {}){}",
-                    f_str(e, "method").unwrap_or("?"),
-                    f_u64(e, "rating").unwrap_or(0),
-                    f_u64(e, "retry").unwrap_or(0),
-                    f_f64(e, "window_scale").unwrap_or(0.0),
-                    f_u64(e, "unconverged").unwrap_or(0),
-                    ctx_suffix(e),
-                );
-            }
-            "supervisor.degrade" => {
-                any = true;
-                println!(
-                    "degrade  {} -> {}: {} (rating {}, after {} retries){}",
-                    f_str(e, "from").unwrap_or("?"),
-                    f_str(e, "to").unwrap_or("?"),
-                    f_str(e, "trigger").unwrap_or("?"),
-                    f_u64(e, "rating").unwrap_or(0),
-                    f_u64(e, "retries").unwrap_or(0),
-                    ctx_suffix(e),
-                );
-            }
-            _ => {}
-        }
+    for e in events.iter().filter(|e| e.kind == "supervisor.degrade") {
+        any = true;
+        println!(
+            "degrade  {} -> {}: {} (rating {}){}",
+            f_str(e, "from").unwrap_or("?"),
+            f_str(e, "to").unwrap_or("?"),
+            f_str(e, "trigger").unwrap_or("?"),
+            f_u64(e, "rating").unwrap_or(0),
+            ctx_suffix(e),
+        );
     }
     if !any {
-        println!("no supervisor retries or downgrades recorded");
+        println!("no downgrades recorded");
     }
     0
 }

@@ -8,8 +8,8 @@
 //! * panicking jobs are retried and reported, and the shared pool stays
 //!   healthy for the jobs after them;
 //! * valid jobs' results are **bit-identical** to offline
-//!   [`peak_core::tune_traced_pooled`] — serving adds failure handling,
-//!   never answer drift;
+//!   [`peak_core::tune_with_options`] with default options — serving
+//!   adds failure handling, never answer drift;
 //! * `stats` and `health` answer on a second connection while the job
 //!   queue is saturated, and panicking jobs leave post-mortem artifacts
 //!   behind.
@@ -255,13 +255,14 @@ fn main() {
             Some(name) => peak_core::method_by_name(name).expect("storm method"),
             None => consult(workload.as_ref(), &spec).order[0],
         };
-        let offline = peak_core::tune_traced_pooled(
+        let offline = peak_core::tune_with_options(
             workload.as_ref(),
             &spec,
             m,
             Dataset::Train,
             Tracer::disabled(),
             &pool,
+            &peak_core::TuneOptions::default(),
         );
         assert_eq!(
             served,

@@ -84,8 +84,16 @@ pub fn figure7_cell_pooled(
     } else {
         tracer
     };
-    let report =
-        peak_core::tune_traced_pooled(workload.as_ref(), &spec, method, tuned_on, tracer, pool);
+    let options = peak_core::TuneOptions::default();
+    let report = peak_core::tune_with_options(
+        workload.as_ref(),
+        &spec,
+        method,
+        tuned_on,
+        tracer,
+        pool,
+        &options,
+    );
     Figure7Cell { report, tuning_time_vs_whl: None }
 }
 

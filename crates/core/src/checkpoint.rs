@@ -1,10 +1,10 @@
 //! Serializable tuner state: the checkpointed tuning driver writes one
-//! JSON document after every completed rating step, and
+//! JSON document after every completed IE round, and
 //! [`Tuner::resume`](crate::tuner::Tuner::resume) continues bit-identically
 //! from it — the checkpoint carries everything the search depends on
 //! (current base configuration, run-seed cursor, accounting, fault
 //! scenario, degradation log), so a killed tuning job loses at most one
-//! rating step of work.
+//! IE round of work.
 
 use crate::consultant::Method;
 use crate::degrade::DegradeEvent;
@@ -28,14 +28,10 @@ pub struct TunerCheckpoint {
     pub last_method: Method,
     /// Current Iterative-Elimination base configuration (flag bits).
     pub base_bits: u64,
-    /// Completed IE rounds.
+    /// Completed IE rounds (the rater's frontier count).
     pub round: usize,
     /// Candidate ratings performed so far.
     pub ratings: usize,
-    /// Supervised rating calls made so far (the supervisor's counter).
-    pub supervised: usize,
-    /// Method downgrades so far.
-    pub switches: u32,
     /// Run-seed cursor of the underlying [`TuningSetup`](crate::rating::TuningSetup).
     pub next_seed: u64,
     /// True cycles consumed by tuning runs.
@@ -46,7 +42,8 @@ pub struct TunerCheckpoint {
     pub invocations_used: u64,
     /// Installed fault scenario, if any (replayed on resume).
     pub fault_config: Option<FaultConfig>,
-    /// Degradation log so far.
+    /// The §3 cascade's log so far; its length is the search's switch
+    /// count.
     pub events: Vec<DegradeEvent>,
     /// Whether the search has terminated.
     pub done: bool,
@@ -63,8 +60,6 @@ impl ToJson for TunerCheckpoint {
             ("base_bits", self.base_bits.to_json()),
             ("round", self.round.to_json()),
             ("ratings", self.ratings.to_json()),
-            ("supervised", self.supervised.to_json()),
-            ("switches", self.switches.to_json()),
             ("next_seed", self.next_seed.to_json()),
             ("tuning_cycles", self.tuning_cycles.to_json()),
             ("runs_used", self.runs_used.to_json()),
@@ -104,8 +99,6 @@ impl TunerCheckpoint {
             base_bits: j.get("base_bits")?.as_u64()?,
             round: j.get("round")?.as_u64()? as usize,
             ratings: j.get("ratings")?.as_u64()? as usize,
-            supervised: j.get("supervised")?.as_u64()? as usize,
-            switches: j.get("switches")?.as_u64()? as u32,
             next_seed: j.get("next_seed")?.as_u64()?,
             tuning_cycles: j.get("tuning_cycles")?.as_u64()?,
             runs_used: j.get("runs_used")?.as_u64()? as usize,
@@ -156,8 +149,6 @@ mod tests {
             base_bits: 0x3FF_FFFF_FFFF,
             round: 3,
             ratings: 114,
-            supervised: 3,
-            switches: 1,
             next_seed: 42,
             tuning_cycles: 123_456_789,
             runs_used: 17,
@@ -168,7 +159,6 @@ mod tests {
                 from: Method::Cbr,
                 to: Method::Mbr,
                 trigger: DegradeTrigger::Unconverged,
-                retries: 2,
             }],
             done: false,
         }

@@ -16,9 +16,9 @@
 //!   [`JobError::Cancelled`]. Deadline enforcement is just "arm a timer
 //!   that fires the token" (see `peak-serve`'s supervisor).
 //! * **Determinism.** With a token that never fires and the default O3
-//!   start, a job's [`TuneReport`] is bit-identical to
-//!   [`tune_traced_pooled`](crate::tuner::tune_traced_pooled) — the
-//!   serve_storm harness pins this down.
+//!   start, a job's [`TuneReport`] is bit-identical to offline
+//!   [`tune_with_options`] with default options — the serve_storm
+//!   harness pins this down.
 
 use crate::consultant::Method;
 use crate::sched::Pool;

@@ -22,15 +22,14 @@
 //!   (Figure 7);
 //! * [`consistency`] — the Table 1 experiment;
 //! * [`adaptive`] — the §6 online/adaptive scenario (per-context winners);
-//! * [`degrade`] — rating supervisor: retry-with-backoff and the
-//!   CBR → MBR → RBR → WHL degradation cascade under injected faults;
+//! * [`degrade`] — why the §3 cascade rejected a rating (unconverged,
+//!   or a crash/dropout under injected faults) and its event log;
 //! * [`job`] — the tuning-job unit behind the `peak-serve` daemon:
 //!   panic-isolated, cooperatively cancellable, warm-startable;
 //! * [`checkpoint`] — serializable tuner state for kill/resume;
 //! * [`harness`] — simulated application runs with version swapping;
 //! * [`stats`], [`linreg`] — EVAL/VAR windows, outlier elimination, least
-//!   squares;
-//! * [`ts_select`] — profile-driven tuning-section selection (§4.1).
+//!   squares.
 
 #![warn(missing_docs)]
 
@@ -53,7 +52,6 @@ pub mod stats;
 pub mod strategy;
 pub mod stream_cache;
 pub mod tier;
-pub mod ts_select;
 pub mod tuner;
 pub mod version_cache;
 
@@ -65,7 +63,7 @@ pub use compile::{
 };
 pub use consistency::{consistency_rows, consistency_rows_traced, ConsistencyRow, WINDOW_SIZES};
 pub use consultant::{consult, consult_shared, Consultation, Method};
-pub use degrade::{DegradeEvent, DegradeTrigger, RatingSupervisor};
+pub use degrade::{DegradeEvent, DegradeTrigger};
 pub use harness::RunHarness;
 pub use job::{
     classify_panic, machine_spec_by_name, method_by_name, run_tuning_job, CancelToken, Cancelled,
@@ -73,11 +71,10 @@ pub use job::{
 };
 pub use mbr::MbrModel;
 pub use metrics::register_metrics;
-pub use rating::{rate, rate_with, RateOptions, RateOutcome, TuningSetup};
+pub use rating::{rate, RateOutcome, TuningSetup};
 pub use sched::{default_threads, Pool, PoolStats};
 pub use search::{
-    exhaustive, iterative_elimination, iterative_elimination_from,
-    iterative_elimination_parallel_capped, random_search, SearchResult,
+    exhaustive, iterative_elimination, iterative_elimination_from, random_search, SearchResult,
 };
 pub use strategy::{
     build_strategy, cluster_flags, ga_mutate, ga_next_generation, ga_uniform_crossover, pearson,
@@ -87,8 +84,7 @@ pub use strategy::{
     SplitMix64, StrategyKind,
 };
 pub use tuner::{
-    measure_production, production_time, tune, tune_traced_pooled, tune_with_options,
-    TuneOptions, TuneReport, Tuner,
+    measure_production, production_time, tune, tune_with_options, TuneOptions, TuneReport, Tuner,
 };
 pub use tier::jit_backend;
 pub use version_cache::{CacheStats, MemoStats, VersionCache, VersionKey};

@@ -318,26 +318,6 @@ impl RateOutcome {
     }
 }
 
-/// Knobs for one rating call (the supervisor's retry-with-backoff).
-#[derive(Debug, Clone, Copy)]
-pub struct RateOptions {
-    /// Multiplier on each method's maximum window budget (CBR/AVG/RBR
-    /// samples, MBR rows). `1.0` (the default) is bit-identical to the
-    /// un-optioned path.
-    pub window_scale: f64,
-}
-
-impl Default for RateOptions {
-    fn default() -> Self {
-        RateOptions { window_scale: 1.0 }
-    }
-}
-
-/// Scale a window budget; `scale = 1.0` returns `n` exactly.
-fn scaled(n: usize, scale: f64) -> usize {
-    ((n as f64) * scale).round() as usize
-}
-
 /// Hard cap on runs per rating call.
 const MAX_RUNS_PER_RATING: usize = 60;
 /// Window bounds per method.
@@ -356,18 +336,6 @@ pub fn rate(
     base: OptConfig,
     candidates: &[OptConfig],
 ) -> Option<RateOutcome> {
-    rate_with(setup, method, base, candidates, &RateOptions::default())
-}
-
-/// [`rate`] with explicit options (window widening for the supervisor's
-/// retry-with-backoff). Default options are bit-identical to [`rate`].
-pub fn rate_with(
-    setup: &mut TuningSetup<'_>,
-    method: Method,
-    base: OptConfig,
-    candidates: &[OptConfig],
-    opts: &RateOptions,
-) -> Option<RateOutcome> {
     crate::metrics::core_metrics().rating_calls.inc();
     let tracer = setup.tracer.clone();
     let _span = span!(
@@ -376,7 +344,6 @@ pub fn rate_with(
         method = method.name(),
         base = base.bits(),
         candidates = candidates.len() as u64,
-        window_scale = opts.window_scale,
     );
     // Self-profiling baselines: runs/invocations/cycles before the call
     // give the method's exclusive measurement cost; wall-clock only when
@@ -385,13 +352,13 @@ pub fn rate_with(
     let wall0 = tracer.wall_ns();
     let out = match method {
         Method::Cbr => {
-            setup.consult.cbr.is_some().then(|| rate_cbr(setup, base, candidates, true, opts))
+            setup.consult.cbr.is_some().then(|| rate_cbr(setup, base, candidates, true))
         }
-        Method::Avg => Some(rate_cbr(setup, base, candidates, false, opts)),
+        Method::Avg => Some(rate_cbr(setup, base, candidates, false)),
         Method::Mbr => {
-            setup.consult.mbr.is_some().then(|| rate_mbr(setup, base, candidates, opts))
+            setup.consult.mbr.is_some().then(|| rate_mbr(setup, base, candidates))
         }
-        Method::Rbr => Some(rate_rbr(setup, base, candidates, true, opts)),
+        Method::Rbr => Some(rate_rbr(setup, base, candidates, true)),
         Method::Whl => Some(rate_whl(setup, base, candidates)),
     };
     if tracer.enabled() {
@@ -481,10 +448,8 @@ fn open_window(windows: &[Window]) -> Option<usize> {
         .map(|(i, _)| i)
 }
 
-/// `n` windows with `bounds` = (min, max, CV threshold), the maximum
-/// scaled by the supervisor's widening.
-fn new_windows(n: usize, (min, max, thr): (usize, usize, f64), ropts: &RateOptions) -> Vec<Window> {
-    let max = scaled(max, ropts.window_scale);
+/// `n` windows with `bounds` = (min, max, CV threshold).
+fn new_windows(n: usize, (min, max, thr): (usize, usize, f64)) -> Vec<Window> {
     (0..n).map(|_| Window::with(min, max, thr)).collect()
 }
 
@@ -546,14 +511,13 @@ fn rate_cbr(
     base: OptConfig,
     candidates: &[OptConfig],
     use_context: bool,
-    ropts: &RateOptions,
 ) -> RateOutcome {
     let consult = setup.consult.clone();
     let plan = use_context.then(|| consult.cbr.as_ref().expect("CBR plan"));
     // Window per version: index 0 = base.
     let versions = setup.versions(base, candidates, false);
     let bounds = if use_context { CBR_WINDOW } else { AVG_WINDOW };
-    let mut windows = new_windows(versions.len(), bounds, ropts);
+    let mut windows = new_windows(versions.len(), bounds);
     let opts = ExecOptions::default();
     let (mut ctx_matches, mut ctx_misses) = (0u64, 0u64);
     let counts = drive(
@@ -601,15 +565,15 @@ impl MbrFit {
     }
 
     /// Whether the version still takes rows: variance above
-    /// [`MBR_VAR_OK`] and fewer than `max_rows` rows.
-    fn open(&self, max_rows: usize) -> bool {
-        self.var() > MBR_VAR_OK && self.times.len() < max_rows
+    /// [`MBR_VAR_OK`] and fewer than [`MBR_MAX_ROWS`] rows.
+    fn open(&self) -> bool {
+        self.var() > MBR_VAR_OK && self.times.len() < MBR_MAX_ROWS
     }
 
     /// Whether the version is done: variance at most [`MBR_VAR_OK`] or
-    /// `max_rows` rows. Not `!open`: a NaN variance is neither.
-    fn done(&self, max_rows: usize) -> bool {
-        self.var() <= MBR_VAR_OK || self.times.len() >= max_rows
+    /// [`MBR_MAX_ROWS`] rows. Not `!open`: a NaN variance is neither.
+    fn done(&self) -> bool {
+        self.var() <= MBR_VAR_OK || self.times.len() >= MBR_MAX_ROWS
     }
 
     /// Refit on the rows so far (outliers trimmed); keeps the old fit
@@ -626,11 +590,9 @@ fn rate_mbr(
     setup: &mut TuningSetup<'_>,
     base: OptConfig,
     candidates: &[OptConfig],
-    ropts: &RateOptions,
 ) -> RateOutcome {
     let consult = setup.consult.clone();
     let model = consult.mbr.as_ref().expect("MBR model");
-    let max_rows = scaled(MBR_MAX_ROWS, ropts.window_scale);
     let versions = setup.versions(base, candidates, true);
     let mut fits: Vec<MbrFit> = versions.iter().map(|_| MbrFit::default()).collect();
     let min_rows = MBR_MIN_ROWS.max(2 * model.num_components());
@@ -646,12 +608,12 @@ fn rate_mbr(
             pick_rng ^= pick_rng << 13;
             pick_rng ^= pick_rng >> 7;
             pick_rng ^= pick_rng << 17;
-            let eligible = fits.iter().filter(|f| f.open(max_rows)).count();
+            let eligible = fits.iter().filter(|f| f.open()).count();
             if eligible == 0 {
                 return Ok(Step::Finished);
             }
             let nth = (pick_rng % eligible as u64) as usize;
-            let i = (0..fits.len()).filter(|&i| fits[i].open(max_rows)).nth(nth).expect("eligible");
+            let i = (0..fits.len()).filter(|&i| fits[i].open()).nth(nth).expect("eligible");
             let Some((t, row)) = model.measure_row(h, &versions[i], args)? else {
                 return Ok(Step::Dropout);
             };
@@ -663,7 +625,7 @@ fn rate_mbr(
             }
             Ok(Step::Ran)
         },
-        |fits| fits.iter().all(|f| f.done(max_rows)),
+        |fits| fits.iter().all(|f| f.done()),
     );
     // Final fits for stragglers.
     for fit in fits.iter_mut().filter(|f| f.eval.is_none()) {
@@ -708,13 +670,12 @@ fn rate_rbr(
     base: OptConfig,
     candidates: &[OptConfig],
     improved: bool,
-    ropts: &RateOptions,
 ) -> RateOutcome {
     let consult = setup.consult.clone();
     let plan = &consult.rbr;
     let versions = setup.versions(base, candidates, false);
     let (base_v, cand_vs) = versions.split_first().expect("base version");
-    let mut windows = new_windows(cand_vs.len(), RBR_WINDOW, ropts);
+    let mut windows = new_windows(cand_vs.len(), RBR_WINDOW);
     let mut flip = false;
     let counts = drive(
         setup,
@@ -819,7 +780,7 @@ pub fn rate_rbr_basic(
     base: OptConfig,
     candidates: &[OptConfig],
 ) -> RateOutcome {
-    rate_rbr(setup, base, candidates, false, &RateOptions::default())
+    rate_rbr(setup, base, candidates, false)
 }
 
 /// WHL: one full application run per version; EVAL = whole-program time

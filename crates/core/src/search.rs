@@ -8,9 +8,11 @@
 //! for the ablation benchmarks.
 
 use crate::consultant::Method;
+use crate::degrade::{DegradeEvent, DegradeTrigger};
 use crate::rating::{rate, RateOutcome, TuningSetup};
 use crate::sched::Pool;
 use crate::strategy::{FrontierRater, IterativeElimination, RandomSearchStrategy, SearchStrategy};
+use peak_obs::event;
 use peak_opt::{Flag, OptConfig};
 use peak_util::{Json, ToJson};
 
@@ -24,7 +26,8 @@ pub struct SearchResult {
     pub disabled_flags: Vec<String>,
     /// Rating method that produced the final decision.
     pub method: Method,
-    /// Method switches that occurred (§3's fallback).
+    /// Rejected ratings (§3's fallback): the length of the rater's
+    /// [`DegradeEvent`] log.
     pub switches: u32,
     /// Total candidate ratings performed.
     pub ratings: usize,
@@ -77,20 +80,28 @@ pub(crate) fn pick_best(improvements: &[f64], rated: usize) -> Option<usize> {
 /// the per-candidate protocol folds into its seeds.
 ///
 /// The try-list is [`Consultation::fallback_order`](crate::consultant::Consultation::fallback_order).
-/// A method that rates with more than [`SWITCH_FRACTION`] of its
-/// candidates unconverged counts one switch and hands over to the next;
-/// a forced method that cannot converge falls through exactly like an
-/// in-order one, and its wasted cycles stay on the bill (which is what
-/// Figure 7 shows). When every method struggled, the last outcome is
-/// kept under the order's last (most applicable) method; when none
-/// rated at all, that method rates once more as attempt
-/// `try_list.len()`. The WHL/AVG baselines sit outside the consultant's
-/// order: they rate once, as attempt 0, with no switch counted.
+/// A method that cannot rate at all is skipped. A rated outcome is
+/// rejected when [`DegradeTrigger::of`] names a reason — more than
+/// [`SWITCH_FRACTION`] of its candidates unconverged, or (only under
+/// injected faults) a crash or heavy dropout — and each rejection logs
+/// one [`DegradeEvent`] for frontier `round` in `events`. A forced
+/// method that cannot converge falls through exactly like an in-order
+/// one, and its wasted cycles stay on the bill (which is what Figure 7
+/// shows). When the try-list runs out:
+/// - after a fatal rejection (crash or dropout), WHL rates once as
+///   attempt `try_list.len()` and its outcome is accepted;
+/// - otherwise the last outcome is kept under the order's last (most
+///   applicable) method; when none rated at all, that method rates once
+///   more as attempt `try_list.len()`.
+///
+/// The WHL/AVG baselines sit outside the consultant's order: they rate
+/// once, as attempt 0, and are never rejected.
 pub(crate) fn rate_cascade<'w>(
     setup: &mut TuningSetup<'w>,
     preferred: Method,
     ncand: usize,
-    switches: &mut u32,
+    round: usize,
+    events: &mut Vec<DegradeEvent>,
     mut rate_attempt: impl FnMut(&mut TuningSetup<'w>, Method, usize) -> Option<RateOutcome>,
 ) -> (RateOutcome, Method) {
     if matches!(preferred, Method::Whl | Method::Avg) {
@@ -98,38 +109,37 @@ pub(crate) fn rate_cascade<'w>(
         return (out, preferred);
     }
     let try_list = setup.consult.fallback_order(preferred);
-    let mut last: Option<RateOutcome> = None;
-    for (attempt, &m) in try_list.iter().enumerate() {
-        if let Some(out) = rate_attempt(setup, m, attempt) {
-            if out.unconverged as f64 / (ncand.max(1) as f64) <= SWITCH_FRACTION {
-                return (out, m);
-            }
-            last = Some(out);
-            *switches += 1;
-        }
+    let kept = *setup.consult.order.last().expect("RBR always applicable");
+    let tracer = setup.tracer().clone();
+    let mut last: Option<(RateOutcome, DegradeTrigger)> = None;
+    for (attempt, &from) in try_list.iter().enumerate() {
+        let Some(out) = rate_attempt(setup, from, attempt) else { continue };
+        let Some(trigger) = DegradeTrigger::of(&out, ncand) else { return (out, from) };
+        let to = match try_list.get(attempt + 1) {
+            Some(&next) => next,
+            None if trigger.is_fatal() => Method::Whl,
+            None => kept,
+        };
+        events.push(DegradeEvent { rating: round, from, to, trigger });
+        event!(
+            tracer,
+            "supervisor.degrade",
+            rating = round as u64,
+            from = from.name(),
+            to = to.name(),
+            trigger = trigger.name(),
+        );
+        last = Some((out, trigger));
     }
-    let m = *setup.consult.order.last().expect("RBR always applicable");
+    let exhausted = try_list.len();
     match last {
-        Some(out) => (out, m),
-        None => (rate_attempt(setup, m, try_list.len()).expect("RBR always rates"), m),
+        Some((_, trigger)) if trigger.is_fatal() => {
+            let out = rate_attempt(setup, Method::Whl, exhausted).expect("WHL always rates");
+            (out, Method::Whl)
+        }
+        Some((out, _)) => (out, kept),
+        None => (rate_attempt(setup, kept, exhausted).expect("RBR always rates"), kept),
     }
-}
-
-/// Rate `candidates` with the serial interleaved protocol under the §3
-/// method fallback: down
-/// [`Consultation::fallback_order`](crate::consultant::Consultation::fallback_order),
-/// switching when more than a third of the candidates stay unconverged.
-/// The WHL/AVG baselines rate once, without fallback.
-pub fn rate_with_fallback(
-    setup: &mut TuningSetup<'_>,
-    preferred: Method,
-    base: OptConfig,
-    candidates: &[OptConfig],
-    switches: &mut u32,
-) -> (RateOutcome, Method) {
-    rate_cascade(setup, preferred, candidates.len(), switches, |s, m, _| {
-        rate(s, m, base, candidates)
-    })
 }
 
 /// Iterative Elimination with the given (initial) rating method,
@@ -151,8 +161,7 @@ pub fn iterative_elimination(setup: &mut TuningSetup<'_>, method: Method) -> Sea
 /// lives in [`IterativeElimination`] and runs on a
 /// [`FrontierRater::serial`] rater — the serial interleaved rating
 /// protocol the Table 1 / Figure 7 goldens pin down, with an unlimited
-/// compilation budget. The differential suite asserts this wrapper is
-/// byte-identical to the pre-trait implementation.
+/// compilation budget. `strategy_goldens` pins its results.
 pub fn iterative_elimination_from(
     setup: &mut TuningSetup<'_>,
     method: Method,
@@ -256,38 +265,6 @@ pub(crate) fn rate_frontier_parallel(
         setup.invocations_used += r.invocations_used;
     }
     Some(merged)
-}
-
-/// Iterative Elimination with a parallel candidate frontier and an
-/// explicit round cap (benches use small caps to bound latency
-/// measurements; [`MAX_IE_ROUNDS`] is the paper protocol's cap). Each
-/// round pre-compiles the whole frontier through the shared
-/// [`VersionCache`](crate::version_cache::VersionCache) (in-flight
-/// de-duplicated) and rates every candidate concurrently on `pool`, each
-/// candidate in its own deterministically-seeded scratch [`TuningSetup`].
-/// Results are merged in candidate order, so the returned
-/// [`SearchResult`] — flags, ratings count, tuning cycles, run and
-/// invocation accounting — is **bit-identical at any thread count**
-/// (`Pool::with_threads(1)` is the serial reference).
-///
-/// Note this is a restructured search, not a drop-in replacement for
-/// [`iterative_elimination`]: per-candidate decomposition changes the
-/// measurement protocol (see [`rate_frontier_parallel`]), so its numbers
-/// differ from the serial interleaved protocol's. The Figure 7 / Table 1
-/// pipelines keep the serial protocol; this entry point is for
-/// throughput-bound consumers (`BENCH_search`, future sharded drivers).
-/// It is the [`IterativeElimination`] loop on a
-/// [`FrontierRater::pooled`] rater; round boundaries are cooperative
-/// cancellation points.
-pub fn iterative_elimination_parallel_capped(
-    setup: &mut TuningSetup<'_>,
-    method: Method,
-    pool: &Pool,
-    max_rounds: usize,
-) -> SearchResult {
-    let strategy = IterativeElimination { start: OptConfig::o3(), max_rounds };
-    let mut rater = FrontierRater::pooled(setup, pool.clone(), method);
-    strategy.run(&mut rater)
 }
 
 /// Exhaustive search over a small flag subset (all other flags stay on):

@@ -38,16 +38,18 @@
 //! files.
 
 use crate::consultant::Method;
+use crate::degrade::DegradeEvent;
 use crate::metrics::core_metrics;
-use crate::rating::{RateOutcome, TuningSetup};
+use crate::rating::{rate, RateOutcome, TuningSetup};
 use crate::sched::Pool;
 use crate::search::{
-    frontier_seed_base, pick_best, rate_cascade, rate_frontier_parallel, rate_with_fallback,
-    SearchResult, MAX_IE_ROUNDS, MIN_GAIN,
+    frontier_seed_base, pick_best, rate_cascade, rate_frontier_parallel, SearchResult,
+    MAX_IE_ROUNDS, MIN_GAIN,
 };
 use peak_obs::event;
 use peak_opt::{Flag, OptConfig, ALL_FLAGS, NUM_FLAGS};
 use std::collections::HashSet;
+use std::ops::ControlFlow;
 
 /// Deterministic 64-bit PRNG (splitmix64). Small, fast, and — unlike a
 /// vendored `StdRng` — guaranteed stable across dependency bumps, which
@@ -198,21 +200,55 @@ pub struct FrontierOutcome {
     pub truncated: bool,
 }
 
+/// The search-wide accounting a [`FrontierRater`] keeps across
+/// frontiers — everything besides the setup's own accounting that a
+/// checkpointed search must carry to resume bit-identically.
+#[derive(Debug, Clone, PartialEq)]
+pub(crate) struct RaterTally {
+    /// Candidate ratings performed.
+    pub ratings: usize,
+    /// Method that produced the most recent decision.
+    pub last_method: Method,
+    /// Frontier rounds rated (also the seed counter).
+    pub round: usize,
+    /// The §3 cascade's log: one event per rejected rating.
+    pub events: Vec<DegradeEvent>,
+}
+
+impl RaterTally {
+    /// A fresh tally for a search that prefers `method`.
+    pub(crate) fn new(method: Method) -> Self {
+        RaterTally { ratings: 0, last_method: method, round: 0, events: Vec::new() }
+    }
+
+    /// The uniform [`SearchResult`] for `best` after the ratings counted
+    /// here and the runs `setup` accounted.
+    pub(crate) fn result(&self, setup: &TuningSetup<'_>, best: OptConfig) -> SearchResult {
+        SearchResult {
+            best,
+            disabled_flags: best.disabled_flags().iter().map(|f| f.name().to_string()).collect(),
+            method: self.last_method,
+            switches: self.events.len() as u32,
+            ratings: self.ratings,
+            tuning_cycles: setup.tuning_cycles,
+            runs: setup.runs_used,
+            invocations: setup.invocations_used,
+        }
+    }
+}
+
 /// The shared engine all strategies drive: frontier pre-warming through
-/// the version cache, §3 method fallback, budget charging, and the
+/// the version cache, the §3 method cascade, budget charging, and the
 /// rating-protocol dispatch. Owns the search-wide accounting
-/// (ratings / switches / last method) so [`FrontierRater::finish`] can
-/// assemble a [`SearchResult`] uniformly.
+/// (ratings / degrade log / last method / round) so
+/// [`FrontierRater::finish`] can assemble a [`SearchResult`] uniformly.
 pub struct FrontierRater<'a, 'w> {
     setup: &'a mut TuningSetup<'w>,
     pool: Pool,
     protocol: RatingProtocol,
     method: Method,
     budget: CompilationBudget,
-    ratings: usize,
-    switches: u32,
-    last_method: Method,
-    round: usize,
+    tally: RaterTally,
 }
 
 impl<'a, 'w> FrontierRater<'a, 'w> {
@@ -227,10 +263,7 @@ impl<'a, 'w> FrontierRater<'a, 'w> {
             protocol: RatingProtocol::Serial,
             method,
             budget: CompilationBudget::unlimited(),
-            ratings: 0,
-            switches: 0,
-            last_method: method,
-            round: 0,
+            tally: RaterTally::new(method),
         }
     }
 
@@ -245,11 +278,20 @@ impl<'a, 'w> FrontierRater<'a, 'w> {
             protocol: RatingProtocol::PerCandidate,
             method,
             budget: CompilationBudget::unlimited(),
-            ratings: 0,
-            switches: 0,
-            last_method: method,
-            round: 0,
+            tally: RaterTally::new(method),
         }
+    }
+
+    /// Continue the accounting of an earlier rater (a resumed search).
+    pub(crate) fn with_tally(mut self, tally: RaterTally) -> Self {
+        self.tally = tally;
+        self
+    }
+
+    /// The accounting so far, handed back for a later
+    /// [`FrontierRater::with_tally`].
+    pub(crate) fn into_tally(self) -> RaterTally {
+        self.tally
     }
 
     /// Replace the (default unlimited) budget.
@@ -265,8 +307,8 @@ impl<'a, 'w> FrontierRater<'a, 'w> {
     /// afford the base or a single candidate — the strategy should
     /// return its best-so-far.
     pub fn rate(&mut self, base: OptConfig, candidates: &[OptConfig]) -> Option<FrontierOutcome> {
-        let round = self.round;
-        self.round += 1;
+        let round = self.tally.round;
+        self.tally.round += 1;
         if !self.budget.charge_one(base) {
             return None;
         }
@@ -282,28 +324,25 @@ impl<'a, 'w> FrontierRater<'a, 'w> {
         let mut warm: Vec<OptConfig> = candidates.to_vec();
         warm.push(base);
         self.setup.warm_frontier(&warm, matches!(self.method, Method::Mbr));
-        let (out, used) = match self.protocol {
-            RatingProtocol::Serial => {
-                rate_with_fallback(self.setup, self.method, base, candidates, &mut self.switches)
-            }
-            RatingProtocol::PerCandidate => {
-                // The switch decision is made jointly over the merged
-                // frontier, after every candidate job of the attempt.
-                let pool = &self.pool;
-                rate_cascade(
-                    self.setup,
-                    self.method,
-                    candidates.len(),
-                    &mut self.switches,
-                    |s, m, attempt| {
-                        let seed = frontier_seed_base(round, attempt);
-                        rate_frontier_parallel(s, pool, m, base, candidates, seed)
-                    },
-                )
-            }
-        };
-        self.last_method = used;
-        self.ratings += candidates.len();
+        // The switch decision is made jointly over the whole frontier;
+        // per candidate, every job of the attempt rates first.
+        let (protocol, pool) = (self.protocol, &self.pool);
+        let (out, used) = rate_cascade(
+            self.setup,
+            self.method,
+            candidates.len(),
+            round,
+            &mut self.tally.events,
+            |s, m, attempt| match protocol {
+                RatingProtocol::Serial => rate(s, m, base, candidates),
+                RatingProtocol::PerCandidate => {
+                    let seed = frontier_seed_base(round, attempt);
+                    rate_frontier_parallel(s, pool, m, base, candidates, seed)
+                }
+            },
+        );
+        self.tally.last_method = used;
+        self.tally.ratings += candidates.len();
         Some(FrontierOutcome { out, method: used, rated: candidates.len(), truncated })
     }
 
@@ -317,9 +356,9 @@ impl<'a, 'w> FrontierRater<'a, 'w> {
         self.setup.tracer()
     }
 
-    /// Cumulative §3 method switches.
-    pub fn switches(&self) -> u32 {
-        self.switches
+    /// The §3 cascade's log so far: one event per rejected rating.
+    pub fn events(&self) -> &[DegradeEvent] {
+        &self.tally.events
     }
 
     /// Unique configurations charged so far.
@@ -334,7 +373,7 @@ impl<'a, 'w> FrontierRater<'a, 'w> {
 
     /// Frontier rounds rated so far (also the seed counter).
     pub fn round(&self) -> usize {
-        self.round
+        self.tally.round
     }
 
     /// The preferred rating method this rater starts each frontier with.
@@ -344,16 +383,7 @@ impl<'a, 'w> FrontierRater<'a, 'w> {
 
     /// Assemble the uniform [`SearchResult`] for `best`.
     pub fn finish(&self, best: OptConfig) -> SearchResult {
-        SearchResult {
-            best,
-            disabled_flags: best.disabled_flags().iter().map(|f| f.name().to_string()).collect(),
-            method: self.last_method,
-            switches: self.switches,
-            ratings: self.ratings,
-            tuning_cycles: self.setup.tuning_cycles,
-            runs: self.setup.runs_used,
-            invocations: self.setup.invocations_used,
-        }
+        self.tally.result(self.setup, best)
     }
 }
 
@@ -371,8 +401,8 @@ pub trait SearchStrategy {
 
 /// The paper's Iterative Elimination, expressed over the rater. With a
 /// [`RatingProtocol::Serial`] rater and an unlimited budget this is
-/// byte-identical to the pre-trait `iterative_elimination_from` (the
-/// goldens suite pins this); with a pooled rater it is PR 4's parallel
+/// [`iterative_elimination_from`](crate::search::iterative_elimination_from)
+/// (the goldens suite pins it); with a pooled rater it is the parallel
 /// frontier search.
 #[derive(Debug, Clone)]
 pub struct IterativeElimination {
@@ -396,31 +426,54 @@ impl SearchStrategy for IterativeElimination {
 
     fn run(&self, rater: &mut FrontierRater<'_, '_>) -> SearchResult {
         let mut base = self.start;
-        for round in 0..self.max_rounds {
-            let flags = base.enabled_flags();
-            let IeRound::Rated { candidates, fo, best } = ie_round(rater, base, &flags) else {
-                break;
-            };
-            // Remove the flag whose removal helps most.
-            let improvements = &fo.out.improvements;
-            let removed = best.filter(|&i| improvements[i] >= MIN_GAIN);
-            let tracer = rater.tracer();
-            event!(
-                tracer,
-                "search.round",
-                round = round as u64,
-                method = fo.method.name(),
-                best_improvement = best.map_or(1.0, |i| improvements[i]),
-                removed_flag = removed.map(|i| flags[i].name()),
-                switches = rater.switches() as u64,
-            );
-            let Some(i) = removed else { break };
-            base = candidates[i];
-            if fo.truncated {
-                break;
+        loop {
+            match self.round(rater, base) {
+                ControlFlow::Continue(next) => base = next,
+                ControlFlow::Break(best) => return rater.finish(best),
             }
         }
-        rater.finish(base)
+    }
+}
+
+impl IterativeElimination {
+    /// One IE round from `base`: rate every single-flag removal and
+    /// remove the flag whose removal helps most. Continues with the new
+    /// base, or breaks with the final one once the rater has rated
+    /// [`max_rounds`](Self::max_rounds) frontiers, the round removed
+    /// nothing, or the budget cut the frontier short. `run` loops over
+    /// it; the checkpointed [`Tuner`](crate::tuner::Tuner) calls it once
+    /// per step. The round count is the rater's, so the rater must be
+    /// fresh or carry this search's own resumed tally.
+    pub(crate) fn round(
+        &self,
+        rater: &mut FrontierRater<'_, '_>,
+        base: OptConfig,
+    ) -> ControlFlow<OptConfig, OptConfig> {
+        let round = rater.round();
+        if round >= self.max_rounds {
+            return ControlFlow::Break(base);
+        }
+        let flags = base.enabled_flags();
+        let IeRound::Rated { candidates, fo, best } = ie_round(rater, base, &flags) else {
+            return ControlFlow::Break(base);
+        };
+        let improvements = &fo.out.improvements;
+        let removed = best.filter(|&i| improvements[i] >= MIN_GAIN);
+        let tracer = rater.tracer();
+        event!(
+            tracer,
+            "search.round",
+            round = round as u64,
+            method = fo.method.name(),
+            best_improvement = best.map_or(1.0, |i| improvements[i]),
+            removed_flag = removed.map(|i| flags[i].name()),
+            switches = rater.events().len() as u64,
+        );
+        match removed {
+            Some(i) if !fo.truncated => ControlFlow::Continue(candidates[i]),
+            Some(i) => ControlFlow::Break(candidates[i]),
+            None => ControlFlow::Break(base),
+        }
     }
 }
 

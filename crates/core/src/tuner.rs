@@ -8,21 +8,22 @@
 
 use crate::checkpoint::TunerCheckpoint;
 use crate::consultant::Method;
-use crate::degrade::{DegradeEvent, RatingSupervisor};
+use crate::degrade::DegradeEvent;
 use crate::job::CancelToken;
-use crate::rating::{rate, TuningSetup};
+use crate::rating::TuningSetup;
 use crate::sched::Pool;
 use crate::search::{iterative_elimination_from, SearchResult};
 use crate::strategy::{
-    build_strategy, strategy_seed, FrontierRater, IterativeElimination, SearchStrategy,
-    StrategyKind,
+    build_strategy, strategy_seed, FrontierRater, IterativeElimination, RaterTally,
+    SearchStrategy, StrategyKind,
 };
 use crate::version_cache::{VersionCache, VersionKey};
-use peak_obs::{event, span, Tracer};
+use peak_obs::{event, Tracer};
 use peak_opt::OptConfig;
 use peak_sim::{ExecOptions, FaultConfig, MachineSpec};
 use peak_util::{Json, ToJson};
 use peak_workloads::{Dataset, Workload};
+use std::ops::ControlFlow;
 use std::path::{Path, PathBuf};
 
 /// One tuned result plus its production-side evaluation.
@@ -127,30 +128,20 @@ pub fn tune(
     tuned_on: Dataset,
 ) -> TuneReport {
     let pool = Pool::with_threads(1);
-    tune_traced_pooled(workload, spec, method, tuned_on, Tracer::disabled(), &pool)
-}
-
-/// [`tune`] with a tracer installed for the tuning phase (every rating
-/// call and tuning run emits telemetry) and a job pool installed on the
-/// tuning setup: each IE round's candidate frontier is pre-compiled in
-/// parallel through the shared [`VersionCache`]. Warm-up is pure
-/// (compilation is deterministic and cached), so every output —
-/// ratings, flags, cycles, traces — is byte-identical at any pool size;
-/// only wall-clock time changes.
-pub fn tune_traced_pooled(
-    workload: &dyn Workload,
-    spec: &MachineSpec,
-    method: Method,
-    tuned_on: Dataset,
-    tracer: Tracer,
-    pool: &Pool,
-) -> TuneReport {
-    tune_with_options(workload, spec, method, tuned_on, tracer, pool, &TuneOptions::default())
+    tune_with_options(
+        workload,
+        spec,
+        method,
+        tuned_on,
+        Tracer::disabled(),
+        &pool,
+        &TuneOptions::default(),
+    )
 }
 
 /// Job-layer knobs for [`tune_with_options`]. The default — O3 start, a
-/// cancel token that never fires — makes it exactly
-/// [`tune_traced_pooled`].
+/// cancel token that never fires, the serial IE — is the offline
+/// Figure 7 protocol.
 #[derive(Debug, Clone, Default)]
 pub struct TuneOptions {
     /// IE start configuration (`None` = O3; the serve daemon's
@@ -169,9 +160,15 @@ pub struct TuneOptions {
     pub strategy: Option<StrategyKind>,
 }
 
-/// [`tune_traced_pooled`] with job-layer options (warm start +
-/// cancellation) — the entry point behind
-/// [`run_tuning_job`](crate::job::run_tuning_job).
+/// [`tune`] with a tracer installed for the tuning phase (every rating
+/// call and tuning run emits telemetry), a job pool installed on the
+/// tuning setup, and job-layer options (warm start, cancellation,
+/// strategy) — the entry point behind
+/// [`run_tuning_job`](crate::job::run_tuning_job). With the serial IE
+/// the pool only pre-compiles each round's candidate frontier through
+/// the shared [`VersionCache`]; compilation is deterministic and cached,
+/// so every output — ratings, flags, cycles, traces — is byte-identical
+/// at any pool size.
 pub fn tune_with_options(
     workload: &dyn Workload,
     spec: &MachineSpec,
@@ -222,24 +219,18 @@ pub fn tune_with_options(
     }
 }
 
-/// Checkpointed, fault-tolerant tuning driver: Iterative Elimination with
-/// the [`RatingSupervisor`] in the loop (retry-with-backoff + degradation
-/// cascade), serializing its full state after every rating step so a
-/// killed job resumes bit-identically via [`Tuner::resume`].
-///
-/// With no faults installed and no degradation triggered, `run()` visits
-/// the same (base, candidates) rating sequence as
-/// [`iterative_elimination`] — the supervisor's accept path is the §3
-/// fallback check — but drives it one observable, resumable step at a
-/// time.
+/// Checkpointed tuning driver: [`IterativeElimination`] on a
+/// [`FrontierRater::serial`] rater, one round per [`Tuner::step`],
+/// serializing its full state after every step so a killed job resumes
+/// bit-identically via [`Tuner::resume`]. Rating, the §3 cascade (with
+/// its fault handling and [`DegradeEvent`] log) and the round logic are
+/// the served path's own, so a fault-free [`Tuner::run`] equals
+/// [`iterative_elimination`](crate::search::iterative_elimination).
 pub struct Tuner<'w> {
     setup: TuningSetup<'w>,
-    supervisor: RatingSupervisor,
     method: Method,
-    last_method: Method,
+    tally: RaterTally,
     base: OptConfig,
-    round: usize,
-    ratings: usize,
     done: bool,
     checkpoint_path: Option<PathBuf>,
 }
@@ -269,20 +260,17 @@ impl<'w> Tuner<'w> {
         setup.set_faults(faults);
         Tuner {
             setup,
-            supervisor: RatingSupervisor::default(),
             method,
-            last_method: method,
+            tally: RaterTally::new(method),
             base: OptConfig::o3(),
-            round: 0,
-            ratings: 0,
             done: false,
             checkpoint_path: None,
         }
     }
 
-    /// Install a tracer on the underlying [`TuningSetup`]: tuner rounds,
-    /// supervised ratings, and per-run simulator metrics all emit
-    /// through it. The default disabled tracer changes nothing.
+    /// Install a tracer on the underlying [`TuningSetup`]: IE rounds,
+    /// cascade rejections, ratings, and per-run simulator metrics all
+    /// emit through it. The default disabled tracer changes nothing.
     pub fn set_tracer(&mut self, tracer: Tracer) {
         self.setup.set_tracer(tracer);
     }
@@ -294,7 +282,7 @@ impl<'w> Tuner<'w> {
         self.setup.set_pool(pool);
     }
 
-    /// Write a checkpoint to `path` after every rating step (and one
+    /// Write a checkpoint to `path` after every step (and one
     /// immediately, so even a job killed before its first step resumes).
     pub fn checkpoint_to(&mut self, path: &Path) -> std::io::Result<()> {
         self.checkpoint_path = Some(path.to_path_buf());
@@ -308,18 +296,16 @@ impl<'w> Tuner<'w> {
             machine: self.setup.spec.kind.name().to_string(),
             dataset: self.setup.ds.name().to_string(),
             method: self.method,
-            last_method: self.last_method,
+            last_method: self.tally.last_method,
             base_bits: self.base.bits(),
-            round: self.round,
-            ratings: self.ratings,
-            supervised: self.supervisor.ratings(),
-            switches: self.supervisor.events().len() as u32,
+            round: self.tally.round,
+            ratings: self.tally.ratings,
             next_seed: self.setup.next_seed(),
             tuning_cycles: self.setup.tuning_cycles,
             runs_used: self.setup.runs_used,
             invocations_used: self.setup.invocations_used,
             fault_config: self.setup.fault_config().cloned(),
-            events: self.supervisor.events().to_vec(),
+            events: self.tally.events.clone(),
             done: self.done,
         }
     }
@@ -354,84 +340,39 @@ impl<'w> Tuner<'w> {
                 format!("checkpoint has unknown dataset {:?}", cp.dataset),
             )
         })?;
-        let mut tuner = Self::with_faults(workload, spec, cp.method, ds, cp.fault_config.clone());
+        let mut tuner = Self::with_faults(workload, spec, cp.method, ds, cp.fault_config);
         tuner.setup.restore_accounting(
             cp.next_seed,
             cp.tuning_cycles,
             cp.runs_used,
             cp.invocations_used,
         );
-        tuner.supervisor.restore(cp.events.clone(), cp.supervised);
-        tuner.last_method = cp.last_method;
+        tuner.tally = RaterTally {
+            ratings: cp.ratings,
+            last_method: cp.last_method,
+            round: cp.round,
+            events: cp.events,
+        };
         tuner.base = OptConfig::from_bits(cp.base_bits);
-        tuner.round = cp.round;
-        tuner.ratings = cp.ratings;
         tuner.done = cp.done;
         tuner.checkpoint_path = Some(path.to_path_buf());
         Ok(tuner)
     }
 
-    /// Perform one Iterative-Elimination round (one supervised rating of
-    /// all single-flag removals), then checkpoint. Returns `false` once
-    /// the search has terminated.
+    /// Perform one [`IterativeElimination`] round, then checkpoint.
+    /// Returns `false` once the search has terminated.
     pub fn step(&mut self) -> bool {
         if self.done {
             return false;
         }
-        let flags = self.base.enabled_flags();
-        if flags.is_empty() {
-            self.done = true;
-            self.save_checkpoint();
-            return false;
-        }
-        let tracer = self.setup.tracer().clone();
-        let _round_span = span!(
-            tracer,
-            "tuner.round",
-            round = self.round as u64,
-            base = self.base.bits(),
-            flags_enabled = flags.len() as u64,
-        );
-        let candidates: Vec<OptConfig> =
-            flags.iter().map(|&f| self.base.without(f)).collect();
-        // Pre-compile the frontier (pure; see `TuningSetup::warm_frontier`).
-        let mut warm = candidates.clone();
-        warm.push(self.base);
-        self.setup.warm_frontier(&warm, matches!(self.method, Method::Mbr));
-        let (out, used) = if matches!(self.method, Method::Whl | Method::Avg) {
-            // Baselines rate directly; the cascade has nowhere to go.
-            (
-                rate(&mut self.setup, self.method, self.base, &candidates)
-                    .expect("baseline method rates"),
-                self.method,
-            )
-        } else {
-            self.supervisor.rate(&mut self.setup, self.method, self.base, &candidates)
+        let mut rater = FrontierRater::serial(&mut self.setup, self.method)
+            .with_tally(self.tally.clone());
+        let flow = IterativeElimination::default().round(&mut rater, self.base);
+        self.tally = rater.into_tally();
+        (self.base, self.done) = match flow {
+            ControlFlow::Continue(next) => (next, false),
+            ControlFlow::Break(best) => (best, true),
         };
-        self.last_method = used;
-        self.ratings += candidates.len();
-        self.round += 1;
-        let bestidx = crate::search::pick_best(&out.improvements, candidates.len());
-        let mut removed: Option<&'static str> = None;
-        match bestidx {
-            Some(i) if out.improvements[i] >= crate::search::MIN_GAIN => {
-                removed = Some(flags[i].name());
-                self.base = candidates[i];
-            }
-            _ => self.done = true,
-        }
-        if self.round >= crate::search::MAX_IE_ROUNDS {
-            self.done = true;
-        }
-        event!(
-            tracer,
-            "tuner.step",
-            round = (self.round - 1) as u64,
-            method = used.name(),
-            best_improvement = bestidx.map(|i| out.improvements[i]).unwrap_or(1.0),
-            removed_flag = removed,
-            done = self.done,
-        );
         self.save_checkpoint();
         !self.done
     }
@@ -442,9 +383,9 @@ impl<'w> Tuner<'w> {
         self.result()
     }
 
-    /// Downgrades logged so far.
+    /// The §3 cascade's log so far: one event per rejected rating.
     pub fn events(&self) -> &[DegradeEvent] {
-        self.supervisor.events()
+        &self.tally.events
     }
 
     /// Whether the search has terminated.
@@ -455,21 +396,7 @@ impl<'w> Tuner<'w> {
     /// The search result for the current state (final once
     /// [`Tuner::is_done`]).
     pub fn result(&self) -> SearchResult {
-        SearchResult {
-            best: self.base,
-            disabled_flags: self
-                .base
-                .disabled_flags()
-                .iter()
-                .map(|f| f.name().to_string())
-                .collect(),
-            method: self.last_method,
-            switches: self.supervisor.events().len() as u32,
-            ratings: self.ratings,
-            tuning_cycles: self.setup.tuning_cycles,
-            runs: self.setup.runs_used,
-            invocations: self.setup.invocations_used,
-        }
+        self.tally.result(&self.setup, self.base)
     }
 
     fn save_checkpoint(&self) {
@@ -527,18 +454,22 @@ mod tests {
         );
     }
 
+    /// VORTEX leaves most RBR windows unconverged, so every round walks
+    /// the whole §3 try-list; the tuner must still be the served search
+    /// (the cascade keeps the last outcome instead of widening windows
+    /// and falling through to WHL).
     #[test]
-    fn tuner_matches_iterative_elimination_when_clean() {
-        let w = SwimCalc3::new();
+    fn clean_tuner_equals_iterative_elimination_on_vortex_sparc() {
+        let w = peak_workloads::vortex::VortexChkGetChunk::new();
         let spec = MachineSpec::sparc_ii();
         let mut setup = TuningSetup::new(&w, spec.clone(), Dataset::Train);
-        let reference = crate::search::iterative_elimination(&mut setup, Method::Cbr);
-        let mut tuner = Tuner::new(&w, spec, Method::Cbr, Dataset::Train);
-        let supervised = tuner.run();
-        assert_eq!(supervised.best, reference.best);
-        assert_eq!(supervised.ratings, reference.ratings);
-        assert_eq!(supervised.invocations, reference.invocations);
-        assert!(tuner.events().is_empty(), "{:?}", tuner.events());
+        let reference = crate::search::iterative_elimination(&mut setup, Method::Rbr);
+        let mut tuner = Tuner::new(&w, spec, Method::Rbr, Dataset::Train);
+        let got = tuner.run();
+        assert_eq!(got.to_json().pretty(), reference.to_json().pretty());
+        assert_eq!(got.best, reference.best);
+        assert_eq!(tuner.events().len() as u32, reference.switches);
+        assert!(tuner.events().iter().all(|e| e.to != Method::Whl), "{:?}", tuner.events());
     }
 
     #[test]

@@ -1,13 +1,16 @@
 //! Differential determinism tests for the parallel candidate-frontier
-//! search: `iterative_elimination_parallel_capped` must produce a
-//! bit-identical `SearchResult` at every thread count. The 1-thread pool runs every
+//! search: `IterativeElimination` on a `FrontierRater::pooled` rater
+//! must produce a bit-identical `SearchResult` at every thread count. The 1-thread pool runs every
 //! job inline in index order — that *is* the serial reference — so
 //! comparing it against 2- and N-thread pools pins down the whole
 //! determinism story: per-job seeding, scratch isolation, index-ordered
 //! merging, and in-flight compile de-duplication.
 
 use peak_core::consultant::Method;
-use peak_core::{iterative_elimination_parallel_capped, Pool, SearchResult, TuningSetup};
+use peak_core::{
+    FrontierRater, IterativeElimination, Pool, SearchResult, SearchStrategy, TuningSetup,
+};
+use peak_opt::OptConfig;
 use peak_sim::MachineSpec;
 use peak_workloads::Dataset;
 
@@ -25,7 +28,8 @@ fn run_leg(
     let w = peak_workloads::workload_by_name(bench).expect("known workload");
     let mut setup = TuningSetup::new(w.as_ref(), spec.clone(), Dataset::Train);
     let pool = Pool::with_threads(threads);
-    iterative_elimination_parallel_capped(&mut setup, method, &pool, rounds)
+    let ie = IterativeElimination { start: OptConfig::o3(), max_rounds: rounds };
+    ie.run(&mut FrontierRater::pooled(&mut setup, pool, method))
 }
 
 fn assert_identical(bench: &str, spec: &MachineSpec, method: Method, rounds: usize) {

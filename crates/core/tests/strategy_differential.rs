@@ -1,25 +1,12 @@
-//! Differential determinism tests for the pluggable search strategies.
-//!
-//! Two families of invariants:
-//!
-//! 1. **Thread invariance.** Every strategy — IE, GA, phase-clustered
-//!    IE, random — produces a byte-identical `SearchResult` (and spends
-//!    an identical compilation budget) at 1, 2, and 5 pool threads. The
-//!    1-thread pool runs every candidate job inline in index order, so
-//!    it *is* the serial reference.
-//! 2. **Refactor equivalence.** The trait extraction must not move the
-//!    serial IE goldens: `iterative_elimination` (now a thin wrapper
-//!    over `IterativeElimination` on a serial rater) still matches the
-//!    supervised `Tuner` — an independent implementation of the same
-//!    loop — and the parallel wrapper still matches the strategy-layer
-//!    entry point. (The `results_table1_*` byte-compare in CI pins the
-//!    golden files themselves.)
+//! Differential determinism tests for the pluggable search strategies:
+//! every strategy — IE, GA, phase-clustered IE, random — produces a
+//! byte-identical `SearchResult` (and spends an identical compilation
+//! budget) at 1, 2, and 5 pool threads. The 1-thread pool runs every
+//! candidate job inline in index order, so it *is* the serial
+//! reference. `strategy_goldens` pins the numbers themselves.
 
 use peak_core::consultant::Method;
-use peak_core::{
-    iterative_elimination, iterative_elimination_parallel_capped, search_with_strategy_spent,
-    Pool, SearchResult, StrategyKind, Tuner, TuningSetup,
-};
+use peak_core::{search_with_strategy_spent, Pool, SearchResult, StrategyKind, TuningSetup};
 use peak_sim::MachineSpec;
 use peak_workloads::Dataset;
 
@@ -107,43 +94,4 @@ fn ga_same_seed_replays_exactly() {
     let (b, sb) = run_strategy_leg("art", &MachineSpec::pentium_iv(), Method::Rbr, StrategyKind::Ga, 2);
     assert_fields_equal("ga replay", &b, &a);
     assert_eq!(sa, sb);
-}
-
-/// The parallel IE wrapper and the strategy-layer entry point are the
-/// same search (wrapper delegation must not drift).
-#[test]
-fn parallel_wrapper_matches_strategy_layer() {
-    let spec = MachineSpec::sparc_ii();
-    let w = peak_workloads::workload_by_name("swim").unwrap();
-    let pool = Pool::with_threads(2);
-    let mut setup_a = TuningSetup::new(w.as_ref(), spec.clone(), Dataset::Train);
-    let via_wrapper = iterative_elimination_parallel_capped(&mut setup_a, Method::Cbr, &pool, 10);
-    let mut setup_b = TuningSetup::new(w.as_ref(), spec.clone(), Dataset::Train);
-    let (via_strategy, _) =
-        search_with_strategy_spent(&mut setup_b, &pool, Method::Cbr, StrategyKind::Ie, None, SEED);
-    assert_fields_equal("wrapper vs strategy layer", &via_strategy, &via_wrapper);
-}
-
-/// Serial IE behind the trait still matches the supervised `Tuner` — an
-/// independent implementation of the same loop that the refactor did
-/// not touch. This is the in-repo half of the goldens guarantee (CI
-/// byte-compares the `results_table1_*` files themselves).
-#[test]
-fn serial_ie_unchanged_by_refactor() {
-    let w = peak_workloads::workload_by_name("art").unwrap();
-    let spec = MachineSpec::pentium_iv();
-    let mut setup = TuningSetup::new(w.as_ref(), spec.clone(), Dataset::Train);
-    let refactored = iterative_elimination(&mut setup, Method::Rbr);
-    let mut tuner = Tuner::new(w.as_ref(), spec, Method::Rbr, Dataset::Train);
-    let independent = tuner.run();
-    assert_eq!(refactored.best, independent.best, "best config");
-    assert_eq!(refactored.ratings, independent.ratings, "ratings");
-    assert_eq!(refactored.runs, independent.runs, "runs");
-    assert_eq!(refactored.invocations, independent.invocations, "invocations");
-    assert_eq!(refactored.tuning_cycles, independent.tuning_cycles, "tuning cycles");
-    assert!(
-        refactored.disabled_flags.iter().any(|f| f == "strict-aliasing"),
-        "the marquee ART×P4 result survives the refactor: {:?}",
-        refactored.disabled_flags
-    );
 }

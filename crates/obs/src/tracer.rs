@@ -275,7 +275,7 @@ macro_rules! event {
 /// expressions are only evaluated when the tracer is enabled.
 ///
 /// ```ignore
-/// let _round = span!(tracer, "tuner.round", round = 3u64);
+/// let _span = span!(tracer, "rating", method = "CBR");
 /// ```
 #[macro_export]
 macro_rules! span {

@@ -3,6 +3,7 @@
 
 use peak_core::consultant::Method;
 use peak_core::rating::TuningSetup;
+use peak_core::FrontierRater;
 use peak_opt::OptConfig;
 use peak_sim::MachineSpec;
 use peak_workloads::Dataset;
@@ -52,16 +53,15 @@ fn rating_falls_back_down_the_method_order() {
     assert_eq!(setup.consult.order.first(), Some(&Method::Mbr));
     let base = OptConfig::o3();
     let cands = [base.without(peak_opt::Flag::PrefetchLoopArrays)];
-    let mut switches = 0;
-    let (out, used) =
-        peak_core::search::rate_with_fallback(&mut setup, Method::Mbr, base, &cands, &mut switches);
+    let mut mbr = FrontierRater::serial(&mut setup, Method::Mbr);
+    let fo = mbr.rate(base, &cands).expect("unlimited budget");
     // MBR fits MGRID well, so normally no switch happens…
-    assert!(out.improvements.len() == 1);
-    assert!(used == Method::Mbr || switches > 0);
+    assert!(fo.out.improvements.len() == 1);
+    assert!(fo.method == Method::Mbr || !mbr.events().is_empty());
     // …and explicitly starting at RBR uses RBR.
-    let (_, used_rbr) =
-        peak_core::search::rate_with_fallback(&mut setup, Method::Rbr, base, &cands, &mut switches);
-    assert_eq!(used_rbr, Method::Rbr);
+    let mut rbr = FrontierRater::serial(&mut setup, Method::Rbr);
+    let fo_rbr = rbr.rate(base, &cands).expect("unlimited budget");
+    assert_eq!(fo_rbr.method, Method::Rbr);
 }
 
 /// The forced-CBR pathology of Figure 7: rating with CBR on MGRID (11
